@@ -281,11 +281,11 @@ def cmd_oracle(args):
                     print("MISMATCH %s at action %s" % (rec.id, div),
                           file=sys.stderr)
     n = len(records)
-    okpct = 100.0 * (n - failures) / n if n else 0.0
     if lengths:
         print("oracle actions: n=%d mean=%.1f max=%d" %
               (len(lengths), statistics.fmean(lengths), max(lengths)))
-    print("round-trip %.0f%%" % okpct)
+    # round down, so only a run without failures reports 100%
+    print("round-trip %d%%" % (100 * (n - failures) // n if n else 0))
     return 0 if failures == 0 else 1
 
 
@@ -311,6 +311,8 @@ def cmd_replay(args):
         seqs = tm.parse_action_file(fh.read())
     with _out(args.output) as fh:
         for rid, actions in seqs:
+            if rid not in records:
+                raise CorpusError("action file id %r is not in the corpus" % rid)
             rec = records[rid]
             final = machine.replay(rec.sentence, actions)
             frags = machine.extract_result(final)
@@ -367,21 +369,16 @@ def cmd_parse(args):
     external = (dec.ExternalScorer(args.external_cmd.split())
                 if args.scorer == "external" else None)
 
-    def decode_one(rec):
-        scorer = _scorer_for(
-            args.scorer, model,
-            oracle_actions[rec.id] if oracle_actions else None,
-            args.seed, external)
-        return dec.beam_decode(
-            rec.sentence, scorer, machine, beam_size=args.beam,
-            lexicon=lexicon, grammar=grammar, cap=args.cap, dep=rec.deps)
-
+    results = []
     try:
-        if external is not None:
-            # the external process speaks a single serial pipe
-            results = [decode_one(rec) for rec in records]
-        else:
-            results = _parallel_map(decode_one, records)
+        for rec in records:
+            scorer = _scorer_for(
+                args.scorer, model,
+                oracle_actions[rec.id] if oracle_actions else None,
+                args.seed, external)
+            results.append(dec.beam_decode(
+                rec.sentence, scorer, machine, beam_size=args.beam,
+                lexicon=lexicon, grammar=grammar, cap=args.cap, dep=rec.deps))
     finally:
         if external is not None:
             external.close()
@@ -393,20 +390,6 @@ def cmd_parse(args):
                 fh.write(render_sexpr(graph_to_tree(g, strict=False)) + "\n")
             fh.write("\n")
     return 0
-
-
-def _parallel_map(fn, items):
-    """Map across records; ULFPARSE_THREADS > 1 enables a thread pool with
-    ordered output assembly."""
-    import os
-
-    workers = int(os.environ.get("ULFPARSE_THREADS", "1"))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def cmd_eval(args):
@@ -620,6 +603,8 @@ def _apply_config(argv):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise CorpusError("--config needs a file")
     path = argv[i + 1]
     del argv[i : i + 2]
     flags = []
@@ -638,11 +623,11 @@ def _apply_config(argv):
 
 
 def main(argv=None):
-    argv = _apply_config(argv if argv is not None else sys.argv[1:])
-    args = build_parser().parse_args(argv)
     try:
+        argv = _apply_config(argv if argv is not None else sys.argv[1:])
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CorpusError, oracle.OracleError, ValueError) as e:
+    except (CorpusError, oracle.OracleError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
 

@@ -162,16 +162,26 @@ def best_mapping(cand: TripleSet, gold: TripleSet, restarts=4, seed=0):
     return best_num, best_map
 
 
-def el_smatch(candidate, gold, restarts=4, seed=0):
-    """(F1, precision, recall) over instance+relation triples."""
+def _triple_counts(candidate, gold, restarts, seed):
+    """(matched triples, candidate triples, gold triples) under the best
+    mapping."""
     cand_t = TripleSet.from_graph(candidate, "a")
     gold_t = TripleSet.from_graph(gold, "b")
     matched, _ = best_mapping(cand_t, gold_t, restarts, seed)
-    matched = max(matched, 0)
-    p = matched / cand_t.size if cand_t.size else 0.0
-    r = matched / gold_t.size if gold_t.size else 0.0
+    return max(matched, 0), cand_t.size, gold_t.size
+
+
+def _prf(matched, cand_size, gold_size):
+    """(F1, precision, recall) from triple counts."""
+    p = matched / cand_size if cand_size else 0.0
+    r = matched / gold_size if gold_size else 0.0
     f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
     return f1, p, r
+
+
+def el_smatch(candidate, gold, restarts=4, seed=0):
+    """(F1, precision, recall) over instance+relation triples."""
+    return _prf(*_triple_counts(candidate, gold, restarts, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +238,18 @@ def _bleu_from_stats(stats, cand_len, gold_len):
     return bp * math.exp(sum(logs) / len(logs))
 
 
-def sembleu(candidate, gold, k=3) -> float:
+def _sembleu_counts(candidate, gold, k):
+    """(per-order n-gram stats, candidate length, gold length), where a
+    length counts node labels (unigrams)."""
     cand_bag = graph_ngrams(candidate, k)
     gold_bag = graph_ngrams(gold, k)
     cand_len = sum(c for g, c in cand_bag.items() if len(g) == 1)
     gold_len = sum(c for g, c in gold_bag.items() if len(g) == 1)
-    return _bleu_from_stats(_ngram_stats(cand_bag, gold_bag, k), cand_len, gold_len)
+    return _ngram_stats(cand_bag, gold_bag, k), cand_len, gold_len
+
+
+def sembleu(candidate, gold, k=3) -> float:
+    return _bleu_from_stats(*_sembleu_counts(candidate, gold, k))
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +300,10 @@ def corpus_eval(pairs, k=3, restarts=4, seed=0, ids=None) -> EvalReport:
     pooled_match = pooled_cand = pooled_gold = 0
     frag_total = 0
     for i, (cand, gold) in enumerate(pairs):
-        cand_t = TripleSet.from_graph(cand, "a")
-        gold_t = TripleSet.from_graph(gold, "b")
-        matched, _ = best_mapping(cand_t, gold_t, restarts, seed=hash((seed, i)) % (2**32))
-        matched = max(matched, 0)
-        p = matched / cand_t.size if cand_t.size else 0.0
-        r = matched / gold_t.size if gold_t.size else 0.0
-        f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
-        cand_bag = graph_ngrams(cand, k)
-        gold_bag = graph_ngrams(gold, k)
-        stats = _ngram_stats(cand_bag, gold_bag, k)
-        clen = sum(c for g, c in cand_bag.items() if len(g) == 1)
-        glen = sum(c for g, c in gold_bag.items() if len(g) == 1)
+        matched, csize, gsize = _triple_counts(
+            cand, gold, restarts, hash((seed, i)) % (2**32))
+        f1, p, r = _prf(matched, csize, gsize)
+        stats, clen, glen = _sembleu_counts(cand, gold, k)
         sb = _bleu_from_stats(stats, clen, glen)
         nfrag = len(_as_fragments(cand))
         rows.append({
@@ -307,13 +315,11 @@ def corpus_eval(pairs, k=3, restarts=4, seed=0, ids=None) -> EvalReport:
         pooled_clen += clen
         pooled_glen += glen
         pooled_match += matched
-        pooled_cand += cand_t.size
-        pooled_gold += gold_t.size
+        pooled_cand += csize
+        pooled_gold += gsize
         frag_total += nfrag
     n = len(rows)
-    pp = pooled_match / pooled_cand if pooled_cand else 0.0
-    pr = pooled_match / pooled_gold if pooled_gold else 0.0
-    pf1 = 2 * pp * pr / (pp + pr) if pp + pr > 0 else 0.0
+    pf1, pp, pr = _prf(pooled_match, pooled_cand, pooled_gold)
     aggregate = {
         "sembleu": _bleu_from_stats(pooled_stats, pooled_clen, pooled_glen),
         "elsmatch_f1": pf1, "elsmatch_p": pp, "elsmatch_r": pr,

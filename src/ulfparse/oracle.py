@@ -10,11 +10,11 @@ their completed argument; everything else is generated in preorder
 sequence, anchored to a word (NAME/TOKEN/LEMMA paths) when one spells the
 stem and through SYMGEN otherwise.
 
-Per-phase rules then pick actions; the slot chosen by PUSHIDX and the
-POP/NOPOP timing are heuristic, so extraction runs as a depth-first
-search that explores the rule-preferred branch first and backtracks on
-dead ends.  Extraction is deterministic and fails loudly (with the
-offending configuration) when no sequence reconstructs the gold graph.
+Extraction is a deterministic greedy policy: in every state exactly one
+per-phase rule picks the next action (including the PUSHIDX slot and the
+POP/NOPOP timing), with no lookahead or backtracking.  It fails loudly,
+carrying the offending configuration, when the sequence would exceed the
+action cap, when a rule action is illegal, or when no rule fires.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ DEFAULT_PROMOTE_SYMBOLS = (
     "adv-a", "adv-e", "adv-s", "sub", "rep", "n+preds", "np+preds",
     "=", "!", "?", "multi-sent", "pasv", "perf", "prog", "COMPLEX",
 )
-
-SEARCH_NODE_BUDGET = 50000
 
 
 class OracleError(RuntimeError):
@@ -102,11 +100,6 @@ class OracleState:
     config: tm.Config
     hyp2gold: tuple  # machine vid -> gold vid
 
-    def key(self):
-        c = self.config
-        return (c.stack, c.cache, c.cursor, c.merged, c.edges, c.phase,
-                c.pending, c.promoted, len(c.verts), self.hyp2gold)
-
 
 class Oracle:
     def __init__(self, sentence: Sentence, gold: UlfGraph, alignment: AlignmentMap,
@@ -159,33 +152,34 @@ class Oracle:
 
     # -- per-phase rules ------------------------------------------------------
 
-    def rule_actions(self, st: OracleState) -> list:
-        """Candidate actions, preferred first.  Index 0 is the rule choice;
-        later entries are fallbacks explored by the search."""
+    def next_action(self, st: OracleState) -> str:
+        """The rule action in this state (no lookahead)."""
         c = st.config
         phase = c.phase
+        action = None
         if phase == tm.GEN:
-            a = self._gen_action(st)
-            return [a] if a else []
-        if phase == tm.WORDGEN:
-            return [self._wordgen_action(st)]
-        if phase in (tm.NAMEGEN, tm.LEMMAGEN, tm.TOKENGEN):
+            action = self._gen_action(st)
+        elif phase == tm.WORDGEN:
+            action = self._wordgen_action(st)
+        elif phase in (tm.NAMEGEN, tm.LEMMAGEN, tm.TOKENGEN):
             target = self.next_gen_target(st)
             tag = self.gold.vertices[target].symbol.tag if target is not None else ""
-            return ["SUFFIX:%s" % tag]
-        if phase == tm.PUSH:
-            return self._push_actions(st)
-        if phase == tm.ARC:
-            return [self._arc_action(st)]
-        if phase == tm.PROMOTE:
-            return self._promote_actions(st)
-        if phase == tm.PROMOTEARC:
+            action = "SUFFIX:%s" % tag
+        elif phase == tm.PUSH:
+            action = self._push_action(st)
+        elif phase == tm.ARC:
+            action = self._arc_action(st)
+        elif phase == tm.PROMOTE:
+            action = self._promote_action(st)
+        elif phase == tm.PROMOTEARC:
             g_par = st.hyp2gold[c.promoted]
             g_child = st.hyp2gold[c.cache[1]]
-            return ["PROMOTE_ARC:%s" % self.idx.edge_labels[(g_par, g_child)]]
-        if phase == tm.POP:
-            return self._pop_actions(st)
-        return []
+            action = "PROMOTE_ARC:%s" % self.idx.edge_labels[(g_par, g_child)]
+        elif phase == tm.POP:
+            action = self._pop_action(st)
+        if action is None:
+            raise OracleError("no oracle rule fires", c)
+        return action
 
     # GEN: the ordered generation steps.
     def _gen_action(self, st: OracleState):
@@ -251,16 +245,14 @@ class Oracle:
             return "TOKEN"
         return "LEMMA"
 
-    def _push_actions(self, st: OracleState):
+    def _push_action(self, st: OracleState):
         c = st.config
         g = st.hyp2gold[c.pending]
         if self.idx.children[g]:
-            preferred = 0  # a constituent head builds at the left slot
-        else:
-            p = self.idx.parent[g]
-            r_gold = self.gold_of(st, c.cache[1])
-            preferred = 0 if (p is not None and p == r_gold) else 1
-        return ["PUSHIDX:%d" % preferred, "PUSHIDX:%d" % (1 - preferred)]
+            return "PUSHIDX:0"  # a constituent head builds at the left slot
+        p = self.idx.parent[g]
+        r_gold = self.gold_of(st, c.cache[1])
+        return "PUSHIDX:%d" % (0 if (p is not None and p == r_gold) else 1)
 
     def _arc_action(self, st: OracleState):
         c = st.config
@@ -277,39 +269,33 @@ class Oracle:
                 return tm.arc_action(0, "left", self.idx.edge_labels[(gr, gl)])
         return "NOARC"
 
-    def _promote_actions(self, st: OracleState):
+    def _promote_action(self, st: OracleState):
         c = st.config
         r = c.cache[1]
         if r is None or self.attached(st, r) or not self.fully_formed(st, r):
-            return ["NOPROMOTE"]
+            return "NOPROMOTE"
         g = st.hyp2gold[r]
         p = self.idx.parent[g]
         if (p is not None and p not in self.generated(st)
                 and p in self.idx.promoted and self.idx.trigger[p] == g):
-            return ["PROMOTE_SYM:%s" % self.idx.label(p), "NOPROMOTE"]
-        # out-of-designation promotion kept as a search fallback
-        if (p is not None and p not in self.generated(st)
-                and self.idx.label(p) in self.s_p):
-            return ["NOPROMOTE", "PROMOTE_SYM:%s" % self.idx.label(p)]
-        return ["NOPROMOTE"]
+            return "PROMOTE_SYM:%s" % self.idx.label(p)
+        return "NOPROMOTE"
 
-    def _pop_actions(self, st: OracleState):
+    def _pop_action(self, st: OracleState):
         c = st.config
         if not c.stack:
-            return ["NOPOP"]
+            return "NOPOP"
         r = c.cache[1]
         retire_ok = r is None or (
             self.fully_formed(st, r)
             and (self.attached(st, r) or st.hyp2gold[r] == self.gold.root)
         )
         if not retire_ok:
-            return ["NOPOP"]
+            return "NOPOP"
         i, v = c.stack[-1]
-        if i == 1:
-            return ["POP", "NOPOP"]
         left = c.cache[0]
-        if left is None or self.all_done(st):
-            return ["POP", "NOPOP"]
+        if i == 1 or left is None or self.all_done(st):
+            return "POP"
         if self.fully_formed(st, left):
             gl = st.hyp2gold[left]
             v_gold = self.gold_of(st, v)
@@ -319,8 +305,8 @@ class Oracle:
                 and p in self.idx.promoted and self.idx.trigger[p] == gl
             )
             if (v_gold is not None and v_gold == p) or pending_trigger:
-                return ["POP", "NOPOP"]
-        return ["NOPOP", "POP"]
+                return "POP"
+        return "NOPOP"
 
     # -- state transition ------------------------------------------------------
 
@@ -338,51 +324,25 @@ class Oracle:
     def is_goal(self, st: OracleState) -> bool:
         return self.machine.is_terminal(st.config) and self.all_done(st)
 
-    # -- extraction (DFS over the heuristic choice points) ----------------------
-
-    def next_action(self, st: OracleState):
-        """The rule-preferred action in this state (no lookahead)."""
-        acts = self.rule_actions(st)
-        if not acts:
-            raise OracleError("no oracle rule fires", st.config)
-        return acts[0]
+    # -- extraction ------------------------------------------------------------
 
     def extract(self) -> list:
-        root = self.initial()
-        frontier = [(root, [], self.rule_actions(root))]
-        seen = {root.key()}
-        nodes = 0
-        last_config = root.config
-        while frontier:
-            st, trail, options = frontier[-1]
-            if not options:
-                frontier.pop()
-                continue
-            action = options.pop(0)
-            nodes += 1
-            if nodes > SEARCH_NODE_BUDGET:
+        """Follow the rule policy from the initial state to the goal."""
+        st = self.initial()
+        actions = []
+        while not self.is_goal(st):
+            if len(actions) == self.step_cap:
                 raise OracleError(
-                    "oracle search budget exhausted after %d nodes" % nodes,
-                    last_config)
+                    "oracle sequence exceeds the %d-action cap" % self.step_cap,
+                    st.config)
+            action = self.next_action(st)
             try:
-                nst = self.step(st, action)
-            except tm.IllegalAction:
-                continue
-            last_config = nst.config
-            if nst.config.steps > self.step_cap:
-                continue
-            if self.is_goal(nst):
-                return trail + [action]
-            key = nst.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            nxt_opts = self.rule_actions(nst)
-            if nxt_opts:
-                frontier.append((nst, trail + [action], nxt_opts))
-        raise OracleError(
-            "oracle stuck: no action sequence reconstructs the gold graph",
-            last_config)
+                st = self.step(st, action)
+            except tm.IllegalAction as e:
+                raise OracleError("oracle rule action %s is illegal: %s"
+                                  % (action, e), st.config) from e
+            actions.append(action)
+        return actions
 
 
 def extract(sentence: Sentence, gold: UlfGraph, alignment: AlignmentMap,

@@ -158,6 +158,16 @@ def test_oracle_verify_roundtrip(tmp_path, mini_file, capsys):
     assert text.count("# id:") == 25
 
 
+def test_oracle_summary_rounds_failures_down(tmp_path, mini_file, capsys):
+    # most mini-corpus sequences are longer than 30 actions
+    out = tmp_path / "actions.txt"
+    code = run(["oracle", mini_file, "--cap", "30", "-o", str(out)])
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert code == 1
+    assert summary.startswith("round-trip ")
+    assert summary != "round-trip 100%"
+
+
 def test_replay_command(tmp_path, tiny_file):
     actions = tmp_path / "actions.txt"
     assert run(["oracle", tiny_file, "-o", str(actions)]) == 0
@@ -239,14 +249,25 @@ def test_config_file_defaults_with_flag_override(tmp_path, tiny_file, monkeypatc
     assert parsed.exists()
 
 
-def test_threaded_parse_matches_sequential(tmp_path, tiny_file, monkeypatch):
-    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    assert run(["parse", tiny_file, "--scorer", "oracle", "--beam", "1",
-                "-o", str(a)]) == 0
-    monkeypatch.setenv("ULFPARSE_THREADS", "4")
-    assert run(["parse", tiny_file, "--scorer", "oracle", "--beam", "1",
-                "-o", str(b)]) == 0
-    assert a.read_text() == b.read_text()
+@pytest.mark.parametrize("case", ["unknown_replay_id", "config_without_file",
+                                  "missing_corpus", "missing_config",
+                                  "missing_candidate"])
+def test_malformed_input_ends_in_one_error_line(tmp_path, tiny_file, capsys, case):
+    missing = str(tmp_path / "absent")
+    golds = tmp_path / "golds.ulf"
+    golds.write_text(ingest(tiny_file)[0].ulf + "\n")
+    actions = tmp_path / "actions.txt"
+    actions.write_text("# id: no-such-id\nWORDGEN\n")
+    argv = {
+        "unknown_replay_id": ["replay", tiny_file, str(actions)],
+        "config_without_file": ["stats", tiny_file, "--config"],
+        "missing_corpus": ["stats", missing],
+        "missing_config": ["stats", tiny_file, "--config", missing],
+        "missing_candidate": ["eval", "both", missing, str(golds)],
+    }[case]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_first_divergence_diagnostic():

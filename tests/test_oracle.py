@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -241,20 +243,41 @@ def test_bottom_up_property_subtrees_frozen_after_arc():
                 assert len(c.descendants(child)) == size
 
 
-def test_policy_rules_suffice_without_backtracking():
-    # iterating next_action (no search) reproduces extract() exactly on
-    # the bundled corpus: the DFS fallback is insurance, not load-bearing
+# SHA-256 of `ulfparse oracle` on the bundled corpus: it changes when any
+# extracted sequence does
+MINI_ORACLE_DUMP_SHA256 = \
+    "eed3557c113d37191845b91ef58e605a570e8991d638f19c9d83fbe17c183cac"
+
+
+def test_mini_corpus_oracle_dump_is_unchanged(tmp_path):
+    from ulfparse import cli
+
+    out = tmp_path / "actions.txt"
+    assert cli.main(["oracle", str(cli.mini_corpus_path()), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MINI_ORACLE_DUMP_SHA256
+
+
+def test_step_cap_fails_loudly():
     from ulfparse.cli import load_mini_corpus
 
-    for rec in load_mini_corpus():
-        gold = rec.gold_graph
-        amap = align(rec.sentence, gold, never_align=NEVER)
-        oracle = Oracle(rec.sentence, gold, amap)
-        st = oracle.initial()
-        trail = []
-        while not oracle.is_goal(st) and len(trail) < 1000:
-            action = oracle.next_action(st)
-            trail.append(action)
-            st = oracle.step(st, action)
-        assert oracle.is_goal(st)
-        assert trail == oracle.extract()
+    rec = load_mini_corpus()[1]
+    gold = rec.gold_graph
+    amap = align(rec.sentence, gold, never_align=NEVER)
+    actions = extract(rec.sentence, gold, amap)
+    # a sequence of exactly step_cap actions still succeeds
+    assert extract(rec.sentence, gold, amap, step_cap=len(actions)) == actions
+    assert len(actions) > 10
+    with pytest.raises(OracleError, match="10-action cap") as exc:
+        extract(rec.sentence, gold, amap, step_cap=10)
+    assert exc.value.config is not None
+    assert exc.value.config.steps == 10
+
+
+def test_illegal_rule_action_fails_loudly(monkeypatch):
+    s = Sentence.make(["hello"], ["hello"], ["UH"])
+    gold = tree_to_graph(parse_sexpr("hello.x"))
+    oracle = Oracle(s, gold, align(s, gold, never_align=NEVER))
+    monkeypatch.setattr(oracle, "next_action", lambda st: "POP")
+    with pytest.raises(OracleError, match="POP is illegal") as exc:
+        oracle.extract()
+    assert exc.value.config.steps == 0
