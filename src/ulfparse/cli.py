@@ -177,18 +177,40 @@ def _read_graph_file(path, fmt):
     return [tree_to_graph(t) for t in parse_sexpr_stream(text)]
 
 
-def _oracle_items(records, promote_syms, inseq, step_cap):
-    """(record, actions) for each record, extracting with alignment."""
+def _align_golds(records, promote_syms):
+    """(record, gold graph, alignment) for each record: every gold ULF is
+    parsed and aligned once, for both S_s harvesting and extraction."""
+    never = frozenset(promote_syms)
     out = []
     for rec in records:
         gold = rec.gold_graph
         if gold is None:
             raise CorpusError("record %s has no gold ULF" % rec.id)
-        amap = align(rec.sentence, gold, never_align=frozenset(promote_syms))
-        actions = oracle.extract(rec.sentence, gold, amap,
-                                 promote_syms, inseq, step_cap)
-        out.append((rec, actions))
+        out.append((rec, gold, align(rec.sentence, gold, never_align=never)))
     return out
+
+
+def _inseq(aligned, promote_syms):
+    """S_s harvested from _align_golds output."""
+    _, s_s = oracle.build_symbol_sets(
+        [(rec.sentence, gold, amap) for rec, gold, amap in aligned],
+        promote_syms)
+    return s_s
+
+
+def _harvest_inseq(records, promote_syms):
+    """S_s harvested from the records that carry a gold ULF."""
+    return _inseq(_align_golds([r for r in records if r.ulf], promote_syms),
+                  promote_syms)
+
+
+def _oracle_items(records, promote_syms, step_cap):
+    """(record, actions) for each record, extracting with alignment."""
+    aligned = _align_golds(records, promote_syms)
+    inseq = _inseq(aligned, promote_syms)
+    return [(rec, oracle.extract(rec.sentence, gold, amap, promote_syms,
+                                 inseq, step_cap))
+            for rec, gold, amap in aligned]
 
 
 def _scorer_for(name, model, oracle_actions=None, seed=0, external=None):
@@ -237,14 +259,9 @@ def _plain_names(g: UlfGraph) -> UlfGraph:
 
 
 def cmd_align(args):
-    records = ingest(args.corpus)
-    never = frozenset(args.promote_syms)
+    aligned = _align_golds(ingest(args.corpus), args.promote_syms)
     with _out(args.output) as fh:
-        for rec in records:
-            gold = rec.gold_graph
-            if gold is None:
-                raise CorpusError("record %s has no gold ULF" % rec.id)
-            amap = align(rec.sentence, gold, never_align=never)
+        for rec, _, amap in aligned:
             obj = {"id": rec.id,
                    "tokens": [t.surface for t in rec.sentence.tokens]}
             obj.update(amap.to_record())
@@ -253,15 +270,12 @@ def cmd_align(args):
 
 
 def cmd_oracle(args):
-    records = ingest(args.corpus)
-    inseq = _harvest_inseq(records, args.promote_syms)
+    aligned = _align_golds(ingest(args.corpus), args.promote_syms)
+    inseq = _inseq(aligned, args.promote_syms)
     failures = 0
     lengths = []
     with _out(args.output) as fh:
-        for rec in records:
-            gold = rec.gold_graph
-            amap = align(rec.sentence, gold,
-                         never_align=frozenset(args.promote_syms))
+        for rec, gold, amap in aligned:
             try:
                 actions = oracle.extract(rec.sentence, gold, amap,
                                          args.promote_syms, inseq, args.cap)
@@ -280,7 +294,7 @@ def cmd_oracle(args):
                     div = _first_divergence(rec.sentence, actions, gold)
                     print("MISMATCH %s at action %s" % (rec.id, div),
                           file=sys.stderr)
-    n = len(records)
+    n = len(aligned)
     if lengths:
         print("oracle actions: n=%d mean=%.1f max=%d" %
               (len(lengths), statistics.fmean(lengths), max(lengths)))
@@ -324,11 +338,8 @@ def cmd_replay(args):
 
 
 def cmd_train(args):
-    records = ingest(args.corpus)
-    inseq = _harvest_inseq(records, args.promote_syms)
-    items = []
-    for rec, actions in _oracle_items(records, args.promote_syms, inseq, args.cap):
-        items.append((rec.sentence, rec.deps, actions))
+    items = [(rec.sentence, rec.deps, actions) for rec, actions
+             in _oracle_items(ingest(args.corpus), args.promote_syms, args.cap)]
     model, machine = dec.train_perceptron(items, epochs=args.epochs, seed=args.seed)
     with open(args.model, "w") as fh:
         fh.write(model.to_json() + "\n")
@@ -351,16 +362,14 @@ def cmd_parse(args):
     oracle_actions = None
     if args.scorer == "oracle":
         # replay mode needs gold graphs; the machine vocab comes from them
-        inseq = _harvest_inseq(records, args.promote_syms)
-        items = _oracle_items(records, args.promote_syms, inseq, args.cap)
+        items = _oracle_items(records, args.promote_syms, args.cap)
         machine = dec.machine_from_actions([a for _, a in items])
         oracle_actions = {rec.id: a for rec, a in items}
     elif model is not None and model.vocab:
         machine = model.make_machine()
     elif args.train_corpus:
-        train_records = ingest(args.train_corpus)
-        inseq = _harvest_inseq(train_records, args.promote_syms)
-        items = _oracle_items(train_records, args.promote_syms, inseq, args.cap)
+        items = _oracle_items(ingest(args.train_corpus), args.promote_syms,
+                              args.cap)
         machine = dec.machine_from_actions([a for _, a in items])
     else:
         raise CorpusError(
@@ -455,24 +464,12 @@ def cmd_stats(args):
     print("length mean=%.3f median=%s min=%d max=%d"
           % (statistics.fmean(lens), statistics.median(lens), min(lens), max(lens)))
     if args.oracle:
-        inseq = _harvest_inseq(records, args.promote_syms)
-        lengths = []
-        for rec, actions in _oracle_items(records, args.promote_syms, inseq, args.cap):
-            lengths.append(len(actions))
+        lengths = [len(actions) for _, actions
+                   in _oracle_items(records, args.promote_syms, args.cap)]
         print("oracle actions mean=%.1f median=%s min=%d max=%d"
               % (statistics.fmean(lengths), statistics.median(lengths),
                  min(lengths), max(lengths)))
     return 0
-
-
-def _harvest_inseq(records, promote_syms):
-    pairs = []
-    for rec in records:
-        gold = rec.gold_graph
-        if gold is not None:
-            pairs.append((rec.sentence, gold))
-    _, s_s = oracle.build_symbol_sets(pairs, promote_syms)
-    return s_s
 
 
 class _out:
@@ -596,38 +593,52 @@ def build_parser():
 
 
 def _apply_config(argv):
-    """Expand `--config FILE` into leading flags: the file holds
-    `key = value` lines naming long options (e.g. `beam = 10`), which
-    explicit command-line flags override."""
+    """Expand `--config FILE` into leading `--key=value` flags: the file
+    holds `key = value` lines naming long options (e.g. `beam = 10`),
+    which explicit command-line flags override.  Returns the new argv and
+    {flag: key} for the flags the file added."""
     argv = list(argv)
     if "--config" not in argv:
-        return argv
+        return argv, {}
     i = argv.index("--config")
     if i + 1 == len(argv):
         raise CorpusError("--config needs a file")
     path = argv[i + 1]
     del argv[i : i + 2]
-    flags = []
+    flags = {}
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, value = line.partition("=")
-            flags.extend(["--%s" % key.strip(), value.strip()])
+            key, eq, value = line.partition("=")
+            if not eq or not key.strip():
+                raise CorpusError("%s line %d: expected 'key = value', got %r"
+                                  % (path, lineno, line))
+            # one token each, so a flag never takes a positional as its value
+            flags["--%s=%s" % (key.strip(), value.strip())] = key.strip()
     # insert defaults right after the subcommand so later flags win
     for j, a in enumerate(argv):
         if not a.startswith("-"):
-            return argv[: j + 1] + flags + argv[j + 1 :]
-    return argv + flags
+            return argv[: j + 1] + list(flags) + argv[j + 1 :], flags
+    return argv + list(flags), flags
 
 
 def main(argv=None):
     try:
-        argv = _apply_config(argv if argv is not None else sys.argv[1:])
-        args = build_parser().parse_args(argv)
+        argv, config_flags = _apply_config(
+            argv if argv is not None else sys.argv[1:])
+        parser = build_parser()
+        args, extra = parser.parse_known_args(argv)
+        for flag in extra:
+            if flag in config_flags:
+                raise CorpusError("config key %r is not an option of %s"
+                                  % (config_flags[flag], args.command))
+        if extra:
+            parser.error("unrecognized arguments: %s" % " ".join(extra))
         return args.func(args)
-    except (CorpusError, oracle.OracleError, ValueError, OSError) as e:
+    except (CorpusError, oracle.OracleError, ValueError, OSError,
+            dec.ExternalScorerError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
 

@@ -13,9 +13,14 @@ that vetoes arcs whose endpoint types cannot compose.
 
 from __future__ import annotations
 
+import contextlib
+import heapq
 import json
+import math
+import os
+import select
 import subprocess
-import threading
+import time
 import zlib
 from dataclasses import dataclass, field
 
@@ -192,10 +197,6 @@ def _state_feats(out, c, buf):
 
 def _conjoin(out, c):
     phase = "phase=%s" % c.phase
-
-    def grab(prefix):
-        return [f for f in out if f.startswith(prefix)]
-
     pairs = []
     if c.phase in (tm.POP, tm.GEN):
         pairs = [("buf.pos=", "c1.sym="), ("buf.w=", "c1.sym="),
@@ -210,12 +211,17 @@ def _conjoin(out, c):
     elif c.phase in (tm.NAMEGEN, tm.LEMMAGEN, tm.TOKENGEN, tm.WORDGEN):
         pairs = [("buf.pos=", "buf.w="), ("buf.pos=", "c1.sym="),
                  ("buf.w=", "buf+1.w=")]
+    # features by the prefix up to their first "=", the form of every
+    # prefix above: the same lists as scanning out for each prefix
+    by_prefix = {}
+    for f in out:
+        by_prefix.setdefault(f[:f.find("=") + 1], []).append(f)
     conj = {}
     for p1, p2 in pairs:
-        for f1 in grab(p1):
-            for f2 in grab(p2):
+        for f1 in by_prefix.get(p1, ()):
+            for f2 in by_prefix.get(p2, ()):
                 conj["%s&%s&%s" % (phase, f1, f2)] = 1.0
-    for f in list(out):
+    for f in out:
         conj["%s&%s" % (phase, f)] = 1.0
     out.update(conj)
 
@@ -228,10 +234,21 @@ def _bucket(feature: str, salt: int, dim: int) -> int:
     return zlib.crc32(("%d|%s" % (salt, feature)).encode()) % dim
 
 
+_NO_ROW = {}
+# distinct features one model memoizes before starting over, about 140
+# bytes each.  A benchmark train round or parse model sees 7-12k; a model
+# trained on or parsing a whole corpus sees 50k and more, and past this
+# bound still hits on 95-99% of lookups, as most go to features that
+# nearly every configuration shares.
+BUCKET_MEMO_SIZE = 1 << 14
+
+
 @dataclass
 class PerceptronModel:
     """Averaged perceptron with hashed sparse features.
 
+    Weights are stored one row per bucket, {bucket: {action idx: w}}, so
+    one walk over a configuration's buckets scores every legal action.
     vocab carries the decode-time machine vocabularies (arc labels,
     suffixes, symbol and promote inventories) harvested from training,
     so a saved model parses corpora without gold annotations.
@@ -240,7 +257,7 @@ class PerceptronModel:
     actions: list
     dim: int = 1 << 18
     salt: int = 0
-    weights: dict = field(default_factory=dict)   # (bucket, action idx) -> w
+    weights: dict = field(default_factory=dict)   # bucket -> {action idx: w}
     totals: dict = field(default_factory=dict)    # accumulated for averaging
     updates: int = 0
     averaged: bool = False
@@ -248,6 +265,7 @@ class PerceptronModel:
 
     def __post_init__(self):
         self.action_ids = {a: i for i, a in enumerate(self.actions)}
+        self._bucket_of = {}  # feature -> bucket, memoized crc32
 
     def add_action(self, action):
         if action not in self.action_ids:
@@ -255,31 +273,59 @@ class PerceptronModel:
             self.actions.append(action)
 
     def buckets(self, features):
-        return [(_bucket(f, self.salt, self.dim), v) for f, v in features.items()]
+        memo = self._bucket_of
+        if len(memo) > BUCKET_MEMO_SIZE:
+            memo.clear()
+        out = []
+        for f, v in features.items():
+            b = memo.get(f)
+            if b is None:
+                b = memo[f] = _bucket(f, self.salt, self.dim)
+            out.append((b, v))
+        return out
 
     def score_buckets(self, buckets, action):
         ai = self.action_ids.get(action)
         if ai is None:
             return 0.0
         w = self.weights
-        return sum(w.get((b, ai), 0.0) * v for b, v in buckets)
+        return sum(w.get(b, _NO_ROW).get(ai, 0.0) * v for b, v in buckets)
+
+    def score_actions(self, buckets, actions) -> list:
+        """score_buckets of every action, looking each bucket's row up once.
+
+        Each action's terms are the same products in the same bucket
+        order, added by the same builtin sum, so every score is
+        bit-identical to score_buckets'.
+        """
+        rows = [(self.weights.get(b, _NO_ROW), v) for b, v in buckets]
+        ids = self.action_ids
+        out = []
+        for a in actions:
+            ai = ids.get(a)
+            out.append(0.0 if ai is None
+                       else sum(row.get(ai, 0.0) * v for row, v in rows))
+        return out
 
     def update(self, features, gold_action, pred_action):
         self.updates += 1
         t = self.updates
         for b, v in self.buckets(features):
+            wrow = self.weights.setdefault(b, {})
+            trow = self.totals.setdefault(b, {})
             for action, delta in ((gold_action, v), (pred_action, -v)):
                 ai = self.action_ids[action]
-                key = (b, ai)
-                self.weights[key] = self.weights.get(key, 0.0) + delta
-                self.totals[key] = self.totals.get(key, 0.0) + t * delta
+                wrow[ai] = wrow.get(ai, 0.0) + delta
+                trow[ai] = trow.get(ai, 0.0) + t * delta
 
     def finalize(self, steps):
         """Average: w <- w - totals/steps."""
         if self.averaged or steps <= 0:
             return
-        for key, tot in self.totals.items():
-            self.weights[key] = self.weights[key] - tot / steps
+        for b, trow in self.totals.items():
+            wrow = self.weights[b]
+            for ai, tot in trow.items():
+                wrow[ai] = wrow[ai] - tot / steps
         self.averaged = True
 
     def to_json(self) -> str:
@@ -288,7 +334,8 @@ class PerceptronModel:
             "dim": self.dim, "salt": self.salt, "averaged": self.averaged,
             "actions": self.actions,
             "vocab": self.vocab,
-            "weights": {"%d,%d" % k: v for k, v in self.weights.items()},
+            "weights": {"%d,%d" % (b, ai): w for b, row in self.weights.items()
+                        for ai, w in row.items()},
         }, sort_keys=True)
 
     @classmethod
@@ -301,7 +348,7 @@ class PerceptronModel:
         model.averaged = obj.get("averaged", False)
         for key, v in obj["weights"].items():
             b, a = key.split(",")
-            model.weights[(int(b), int(a))] = v
+            model.weights.setdefault(int(b), {})[int(a)] = v
         return model
 
     def make_machine(self, step_cap=tm.DEFAULT_STEP_CAP) -> tm.Machine:
@@ -374,16 +421,16 @@ def train_perceptron(items, epochs=5, seed=0, machine=None, dim=1 << 18):
                 legal = _concrete_candidates(machine, c)
                 if gold_action not in legal:
                     legal.append(gold_action)
-                buckets = model.buckets(feats)
+                legal.sort(key=tm.action_sort_key)
+                scores = model.score_actions(model.buckets(feats), legal)
                 # runner-up among the non-gold actions, ties broken by the
                 # canonical order; update unless gold wins by a margin,
                 # so the learned separation survives weight averaging
-                gold_score = model.score_buckets(buckets, gold_action)
+                gold_score = scores[legal.index(gold_action)]
                 rival, rival_score = None, None
-                for a in sorted(legal, key=tm.action_sort_key):
+                for a, s in zip(legal, scores):
                     if a == gold_action:
                         continue
-                    s = model.score_buckets(buckets, a)
                     if rival_score is None or s > rival_score:
                         rival, rival_score = a, s
                 if rival is not None and gold_score - rival_score < 1.0:
@@ -422,7 +469,7 @@ class PerceptronScorer:
 
     def score(self, c, features, legal):
         buckets = self.model.buckets(features)
-        return {a: self.model.score_buckets(buckets, a) for a in legal}
+        return dict(zip(legal, self.model.score_actions(buckets, legal)))
 
 
 class RandomScorer:
@@ -447,41 +494,73 @@ class ExternalScorer:
     """Line-protocol client for an external scorer process.
 
     Each message is a header line with the decimal byte length of the
-    JSON payload, then the payload itself followed by a newline.
+    UTF-8 JSON payload, then the payload itself followed by a newline.
     Requests carry {"features": ..., "legal": [...]}; responses carry
-    {"scores": {action: weight}}.
+    {"scores": {action: weight}} with finite weights.  A reply that does
+    not arrive whole within the timeout, or breaks the framing, raises
+    ExternalScorerError and stops the process.
     """
 
     def __init__(self, argv, timeout=EXTERNAL_TIMEOUT):
         self.proc = subprocess.Popen(
-            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         self.timeout = timeout
+        self._buf = b""  # bytes read past the last reply
 
     def close(self):
-        if self.proc.poll() is None:
+        # a scorer that exited before reading leaves the request in the
+        # write buffer, and flushing it again would raise BrokenPipeError
+        with contextlib.suppress(OSError):
             self.proc.stdin.close()
+        self.proc.stdout.close()
+        try:
             self.proc.wait(timeout=2)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+
+    def _fail(self, why):
+        self.proc.kill()
+        self.proc.wait()
+        raise ExternalScorerError("external scorer %s" % why)
+
+    def _fill(self, deadline):
+        """Append the next chunk of output to the buffer."""
+        fd = self.proc.stdout.fileno()
+        wait = deadline - time.monotonic()
+        if wait <= 0 or not select.select([fd], [], [], wait)[0]:
+            self._fail("timed out")
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            self._fail("closed its output")
+        self._buf += chunk
+
+    def _line(self, deadline) -> bytes:
+        while b"\n" not in self._buf:
+            self._fill(deadline)
+        line, self._buf = self._buf.split(b"\n", 1)
+        return line
 
     def _roundtrip(self, payload: str) -> str:
-        self.proc.stdin.write("%d\n%s\n" % (len(payload.encode()), payload))
-        self.proc.stdin.flush()
-        result = {}
-
-        def read():
-            header = self.proc.stdout.readline()
-            if not header:
-                return
-            n = int(header.strip())
-            result["body"] = self.proc.stdout.read(n)
-            self.proc.stdout.readline()  # trailing newline
-
-        t = threading.Thread(target=read, daemon=True)
-        t.start()
-        t.join(self.timeout)
-        if "body" not in result:
-            self.proc.kill()
-            raise ExternalScorerError("external scorer timed out or closed")
-        return result["body"]
+        data = payload.encode()
+        try:
+            self.proc.stdin.write(b"%d\n%s\n" % (len(data), data))
+            self.proc.stdin.flush()
+        except OSError as e:
+            self._fail("closed its input: %s" % e)
+        deadline = time.monotonic() + self.timeout
+        header = self._line(deadline)
+        if not header.strip().isdigit():
+            self._fail("sent a bad header %r" % header[:40])
+        n = int(header)
+        while len(self._buf) < n:
+            self._fill(deadline)
+        body, self._buf = self._buf[:n], self._buf[n:]
+        self._line(deadline)  # trailing newline
+        try:
+            return body.decode()
+        except UnicodeDecodeError as e:
+            self._fail("sent a body that is not UTF-8: %s" % e)
 
     def score(self, c, features, legal):
         req = json.dumps({"features": features, "legal": list(legal)},
@@ -489,9 +568,12 @@ class ExternalScorer:
         body = self._roundtrip(req)
         try:
             scores = json.loads(body)["scores"]
-        except (ValueError, KeyError) as e:
+            out = {a: float(scores.get(a, 0.0)) for a in legal}
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise ExternalScorerError("bad external scorer response: %s" % e)
-        return {a: float(scores.get(a, 0.0)) for a in legal}
+        if not all(math.isfinite(v) for v in out.values()):
+            raise ExternalScorerError("external scorer sent a non-finite score")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +611,18 @@ def _log_softmax(scores: dict) -> dict:
     return {a: float(v - logz) for a, v in zip(scores.keys(), vals)}
 
 
-def _type_filtered(item, action, grammar):
-    """Type-composition veto for arc actions; returns updated types or
-    None when the arc is vetoed."""
-    c = item.config
+def _vertex_types(item, grammar):
+    """item.types extended to every vertex of its configuration."""
+    types, verts = item.types, item.config.verts
+    if len(types) < len(verts):
+        types += tuple(type_of(v.symbol, grammar) for v in verts[len(types):])
+    return types
+
+
+def _type_filtered(c, types, action):
+    """Type-composition veto for arc actions; returns the types after
+    action, or None when the arc is vetoed."""
     kind = tm.action_kind(action)
-    types = item.types
-    while len(types) < len(c.verts):
-        types = types + (type_of(c.verts[len(types)].symbol, grammar),)
     if kind == "ARC":
         _, direction, _ = tm.parse_arc_action(action)
         l, r = c.cache
@@ -567,6 +653,10 @@ def _lexicon_filtered(machine, c, actions, lexicon):
             if tm.action_kind(a) != "SUFFIX" or candidates[a] in kept]
 
 
+def _rank_key(item):
+    return (-item.score, item.rank)
+
+
 def beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
                 grammar=None, cap=None, dep=None) -> DecodeResult:
     """Beam search over action sequences.
@@ -574,49 +664,58 @@ def beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
     Candidates at each step are the machine's legal actions, restricted
     by the lexicon (word-anchored symbol generation) and vetoed by the
     type-composition check (arc actions) when those constraints are
-    supplied.  Items reaching the cap are finalized as-is.
+    supplied.  Every (item, action) pair is scored first, and only the
+    beam_size best are applied.  Items ranked by (-score, rank); rank is
+    the path of action indices, which breaks ties deterministically.
+    Items reaching the cap are finalized as-is.
+
+    The search stops once the best finished item ranks before every live
+    one.  That is exact: per-step scores are log-probabilities (<= 0), so
+    no descendant of a live item scores higher than it, and a
+    descendant's rank extends its parent's, so it sorts after it on a
+    tie; nothing found later could outrank the best finished item.
     """
     cap = cap if cap is not None else machine.step_cap
     beam = [BeamItem(machine.init(sentence))]
-    finished = []
+    best = None  # best finished item
     while beam:
-        candidates = []
+        live = []
         for item in beam:
             c = item.config
-            if machine.is_terminal(c):
-                finished.append(BeamItem(c, item.score, item.history,
-                                         item.types, item.rank + (0,)))
-                continue
-            if c.steps >= cap:
-                finished.append(BeamItem(c, item.score, item.history,
-                                         item.types, item.rank + (1,)))
-                continue
-            legal = _concrete_candidates(machine, c)
+            terminal = machine.is_terminal(c)
+            if terminal or c.steps >= cap:
+                done = BeamItem(c, item.score, item.history, item.types,
+                                item.rank + ((0,) if terminal else (1,)))
+                if best is None or _rank_key(done) < _rank_key(best):
+                    best = done
+            else:
+                live.append(item)
+        if best is not None and all(_rank_key(best) < _rank_key(it) for it in live):
+            break
+        candidates = []
+        for item in live:
+            c = item.config
+            legal = _concrete_candidates(machine, c)  # in canonical order
             legal = _lexicon_filtered(machine, c, legal, lexicon)
             feats = extract_features(c, dep)
             scores = _log_softmax(scorer.score(c, feats, legal))
-            for ai, action in enumerate(sorted(legal, key=tm.action_sort_key)):
-                types = item.types
+            types = _vertex_types(item, grammar) if grammar is not None else item.types
+            for ai, action in enumerate(legal):
+                new_types = types
                 if grammar is not None:
-                    types = _type_filtered(item, action, grammar)
-                    if types is None:
+                    new_types = _type_filtered(c, types, action)
+                    if new_types is None:
                         continue  # vetoed: not added to the search beam
-                candidates.append(BeamItem(
-                    machine.apply(c, action),
-                    item.score + scores.get(action, 0.0),
-                    item.history + (action,),
-                    types,
-                    item.rank + (ai,),
-                ))
+                score = item.score + scores.get(action, 0.0)
+                candidates.append((-score, item.rank, ai, score, item, action,
+                                   new_types))
         if not candidates:
             break
-        candidates.sort(key=lambda it: (-it.score, it.rank))
-        beam = candidates[:beam_size]
-        # keep only as many finished as we might need
-        finished.sort(key=lambda it: (-it.score, it.rank))
-        finished = finished[: max(beam_size, 1)]
-    pool = finished if finished else beam
-    best = min(pool, key=lambda it: (-it.score, it.rank))
+        top = heapq.nsmallest(beam_size, candidates, key=lambda t: t[:3])
+        beam = [BeamItem(machine.apply(item.config, action), score,
+                         item.history + (action,), types, item.rank + (ai,))
+                for _, _, ai, score, item, action, types in top]
+    best = best if best is not None else min(beam, key=_rank_key)
     return DecodeResult(
         fragments=machine.extract_result(best.config),
         actions=list(best.history),

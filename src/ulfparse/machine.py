@@ -124,6 +124,20 @@ def parse_action_file(text: str):
     return records
 
 
+def _vocab_set(vocab):
+    return frozenset(vocab) if vocab is not None else None
+
+
+def _menu(fmt, vocab):
+    if vocab is None:
+        return [fmt % "*"]
+    return sorted(fmt % v for v in vocab)
+
+
+def _set_parent(parents, vid, parent):
+    return parents[:vid] + (parent,) + parents[vid + 1:]
+
+
 @dataclass(frozen=True)
 class Config:
     """Immutable transition state; apply() returns a new value."""
@@ -135,6 +149,7 @@ class Config:
     merged: int = 1             # how many words are fused at the front
     verts: tuple = ()           # Vertex, in creation order
     edges: tuple = ()           # (src vid, dst vid, label)
+    parents: tuple = ()         # per vertex: parent vid, or None
     phase: str = GEN
     pending: Optional[int] = None   # generated vertex awaiting PUSHIDX
     promoted: Optional[int] = None  # PROMOTE_SYM vertex awaiting PROMOTE_ARC
@@ -154,10 +169,7 @@ class Config:
         return [self.sentence.token(self.cursor + k) for k in range(self.merged)]
 
     def parent_of(self, vid: int) -> Optional[int]:
-        for src, dst, _ in self.edges:
-            if dst == vid:
-                return src
-        return None
+        return self.parents[vid]
 
     def descendants(self, vid: int) -> set:
         out, todo = set(), [vid]
@@ -185,6 +197,26 @@ class Machine:
         self.symgen_vocab = list(symgen_vocab) if symgen_vocab is not None else None
         self.promote_syms = list(promote_syms) if promote_syms is not None else None
         self.step_cap = step_cap
+        # derived once: the vocabularies are fixed after construction
+        self._params = {
+            "SYMGEN": _vocab_set(self.symgen_vocab),
+            "SUFFIX": _vocab_set(self.suffixes),
+            "PROMOTE_SYM": _vocab_set(self.promote_syms),
+            "PROMOTE_ARC": _vocab_set(self.arc_labels),
+            "ARC": _vocab_set(self.arc_labels),
+        }
+        labels = self.arc_labels if self.arc_labels is not None else []
+        # per-kind menus in canonical order; "*" marks an open vocabulary
+        self._menus = {
+            "SYMGEN": _menu("SYMGEN:%s", self.symgen_vocab),
+            "SUFFIX": _menu("SUFFIX:%s", self.suffixes),
+            "PROMOTE_SYM": _menu("PROMOTE_SYM:%s", self.promote_syms),
+            "PROMOTE_ARC": _menu("PROMOTE_ARC:%s", self.arc_labels),
+            "left": sorted(arc_action(0, "left", lab) for lab in labels)
+                    + (["ARC:0:left:*"] if self.arc_labels is None else []),
+            "right": sorted(arc_action(0, "right", lab) for lab in labels)
+                     + (["ARC:0:right:*"] if self.arc_labels is None else []),
+        }
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -208,85 +240,102 @@ class Machine:
     # -- legality ----------------------------------------------------------
 
     def legal_actions(self, c: Config) -> list[str]:
-        """All actions permitted in c, in canonical order."""
-        out = []
-        if c.phase == GEN:
-            if self.symgen_vocab is None:
-                out.append("SYMGEN:*")  # open vocabulary marker
-            else:
-                out.extend("SYMGEN:%s" % s for s in self.symgen_vocab)
+        """All actions permitted in c, in canonical order (action_sort_key)."""
+        menus = self._menus
+        phase = c.phase
+        if phase == GEN:
+            out = list(menus["SYMGEN"])
             if c.cursor + c.merged <= len(c.sentence):
                 out.append("MERGEBUF")
             if not c.buffer_empty:
-                out.append("SKIP")
-                out.append("WORDGEN")
-        elif c.phase == WORDGEN:
-            out.extend(["NAME", "LEMMA", "TOKEN"])
-        elif c.phase in (NAMEGEN, LEMMAGEN, TOKENGEN):
-            if self.suffixes is None:
-                out.append("SUFFIX:*")
-            else:
-                out.extend("SUFFIX:%s" % e for e in self.suffixes)
-        elif c.phase == PUSH:
-            if c.pending is not None:
-                out.extend(["PUSHIDX:0", "PUSHIDX:1"])
-        elif c.phase == ARC:
+                out += ["SKIP", "WORDGEN"]
+            return out
+        if phase == WORDGEN:
+            return ["NAME", "LEMMA", "TOKEN"]
+        if phase in (NAMEGEN, LEMMAGEN, TOKENGEN):
+            return list(menus["SUFFIX"])
+        if phase == PUSH:
+            return ["PUSHIDX:0", "PUSHIDX:1"] if c.pending is not None else []
+        if phase == ARC:
+            out = []
             l, r = c.cache
             if l is not None and r is not None:
-                labels = self.arc_labels if self.arc_labels is not None else []
-                for direction, src, dst in (("left", r, l), ("right", l, r)):
-                    if self._arc_ok(c, src, dst):
-                        for lab in labels:
-                            out.append(arc_action(0, direction, lab))
-                        if self.arc_labels is None:
-                            out.append("ARC:0:%s:*" % direction)
+                if self._arc_ok(c, r, l):
+                    out += menus["left"]
+                if self._arc_ok(c, l, r):
+                    out += menus["right"]
             out.append("NOARC")
-        elif c.phase == PROMOTE:
+            return out
+        if phase == PROMOTE:
             r = c.cache[1]
-            if r is not None and c.parent_of(r) is None:
-                if self.promote_syms is None:
-                    out.append("PROMOTE_SYM:*")
-                else:
-                    out.extend("PROMOTE_SYM:%s" % s for s in self.promote_syms)
+            out = list(menus["PROMOTE_SYM"]) \
+                if r is not None and c.parents[r] is None else []
             out.append("NOPROMOTE")
-        elif c.phase == PROMOTEARC:
-            if self.arc_labels is None:
-                out.append("PROMOTE_ARC:*")
-            else:
-                out.extend("PROMOTE_ARC:%s" % lab for lab in self.arc_labels)
-        elif c.phase == POP:
-            if c.stack:
-                out.append("POP")
-            out.append("NOPOP")
-        out.sort(key=action_sort_key)
-        return out
+            return out
+        if phase == PROMOTEARC:
+            return list(menus["PROMOTE_ARC"])
+        if phase == POP:
+            return ["POP", "NOPOP"] if c.stack else ["NOPOP"]
+        return []
 
     def _arc_ok(self, c: Config, src: int, dst: int) -> bool:
-        # keep the partial graph a forest: one parent per vertex, no cycles
-        if c.parent_of(dst) is not None:
+        # keep the partial graph a forest: one parent per vertex, and no
+        # arc into src itself or one of its ancestors (that closes a cycle)
+        parents = c.parents
+        if parents[dst] is not None:
             return False
-        if src == dst or src in c.descendants(dst):
-            return False
+        v = src
+        while v is not None:
+            if v == dst:
+                return False
+            v = parents[v]
         return True
 
+    def _param_ok(self, kind: str, arg: str) -> bool:
+        vocab = self._params[kind]
+        return vocab is None or arg in vocab
+
     def is_legal(self, c: Config, action: str) -> bool:
-        kind = action_kind(action)
-        legal = self.legal_actions(c)
-        if action in legal:
-            return True
-        # open-vocabulary markers admit any concrete parameter
-        if kind == "SYMGEN" and "SYMGEN:*" in legal:
-            return True
-        if kind == "SUFFIX" and "SUFFIX:*" in legal:
-            return True
-        if kind == "PROMOTE_SYM" and "PROMOTE_SYM:*" in legal:
-            return True
-        if kind == "PROMOTE_ARC" and "PROMOTE_ARC:*" in legal:
-            return True
-        if kind == "ARC":
-            _, direction, _ = parse_arc_action(action)
-            if "ARC:0:%s:*" % direction in legal:
+        """Whether action is one of legal_actions(c), where an open
+        vocabulary's "*" marker admits any concrete parameter."""
+        kind, colon, arg = action.partition(":")
+        phase = c.phase
+        if phase == GEN:
+            if kind == "SYMGEN":
+                return bool(colon) and self._param_ok(kind, arg)
+            if action == "MERGEBUF":
+                return c.cursor + c.merged <= len(c.sentence)
+            return action in ("SKIP", "WORDGEN") and not c.buffer_empty
+        if phase == WORDGEN:
+            return action in ("NAME", "LEMMA", "TOKEN")
+        if phase in (NAMEGEN, LEMMAGEN, TOKENGEN):
+            return kind == "SUFFIX" and bool(colon) and self._param_ok(kind, arg)
+        if phase == PUSH:
+            return c.pending is not None and action in ("PUSHIDX:0", "PUSHIDX:1")
+        if phase == ARC:
+            if action == "NOARC":
                 return True
+            parts = action.split(":", 3)
+            if kind != "ARC" or len(parts) != 4 or parts[1] != "0" \
+                    or not self._param_ok(kind, parts[3]):
+                return False
+            l, r = c.cache
+            if l is None or r is None:
+                return False
+            if parts[2] == "left":
+                return self._arc_ok(c, r, l)
+            return parts[2] == "right" and self._arc_ok(c, l, r)
+        if phase == PROMOTE:
+            if action == "NOPROMOTE":
+                return True
+            r = c.cache[1]
+            return (kind == "PROMOTE_SYM" and bool(colon)
+                    and self._param_ok(kind, arg)
+                    and r is not None and c.parents[r] is None)
+        if phase == PROMOTEARC:
+            return kind == "PROMOTE_ARC" and bool(colon) and self._param_ok(kind, arg)
+        if phase == POP:
+            return action == "NOPOP" or (action == "POP" and bool(c.stack))
         return False
 
     # -- application -------------------------------------------------------
@@ -311,13 +360,14 @@ class Machine:
             atom = self.make_symbol(c, ext)
             verts = c.verts + (Vertex(atom, c.cursor),)
             return replace(
-                c, verts=verts, pending=len(verts) - 1,
+                c, verts=verts, parents=c.parents + (None,), pending=len(verts) - 1,
                 cursor=c.cursor + c.merged, merged=1, phase=PUSH, **nxt)
 
         if kind == "SYMGEN":
             atom = parse_atom(action.split(":", 1)[1])
             verts = c.verts + (Vertex(atom, None),)
-            return replace(c, verts=verts, pending=len(verts) - 1, phase=PUSH, **nxt)
+            return replace(c, verts=verts, parents=c.parents + (None,),
+                           pending=len(verts) - 1, phase=PUSH, **nxt)
 
         if kind == "SKIP":
             return replace(c, cursor=c.cursor + 1, merged=1, phase=GEN, **nxt)
@@ -335,7 +385,9 @@ class Machine:
             _, direction, label = parse_arc_action(action)
             l, r = c.cache
             src, dst = (r, l) if direction == "left" else (l, r)
-            return replace(c, edges=c.edges + ((src, dst, label),), phase=PROMOTE, **nxt)
+            return replace(c, edges=c.edges + ((src, dst, label),),
+                           parents=_set_parent(c.parents, dst, src),
+                           phase=PROMOTE, **nxt)
 
         if kind == "NOARC":
             return replace(c, phase=PROMOTE, **nxt)
@@ -343,14 +395,16 @@ class Machine:
         if kind == "PROMOTE_SYM":
             atom = parse_atom(action.split(":", 1)[1])
             verts = c.verts + (Vertex(atom, None),)
-            return replace(c, verts=verts, promoted=len(verts) - 1, phase=PROMOTEARC, **nxt)
+            return replace(c, verts=verts, parents=c.parents + (None,),
+                           promoted=len(verts) - 1, phase=PROMOTEARC, **nxt)
 
         if kind == "PROMOTE_ARC":
             label = action.split(":", 1)[1]
             r = c.cache[1]
             edges = c.edges + ((c.promoted, r, label),)
             cache = (c.cache[0], c.promoted)  # old rightmost retires
-            return replace(c, edges=edges, cache=cache, promoted=None, phase=ARC, **nxt)
+            return replace(c, edges=edges, parents=_set_parent(c.parents, r, c.promoted),
+                           cache=cache, promoted=None, phase=ARC, **nxt)
 
         if kind == "NOPROMOTE":
             return replace(c, phase=POP, **nxt)

@@ -367,21 +367,21 @@ def extract_with_alignment(sentence: Sentence, gold: UlfGraph,
     return extract(sentence, gold, amap, promote_syms, inseq_syms, step_cap), amap
 
 
-def build_symbol_sets(records, promote_syms=DEFAULT_PROMOTE_SYMBOLS):
+def build_symbol_sets(aligned, promote_syms=DEFAULT_PROMOTE_SYMBOLS):
     """Harvest (S_p, S_s) from an aligned training corpus.
 
-    records: iterable of (Sentence, UlfGraph).  S_p is the configured
-    promote vocabulary; S_s collects atoms that appear in gold graphs,
-    are never aligned by the aligner, and are not in S_p.
+    aligned: iterable of (Sentence, UlfGraph, AlignmentMap), each map
+    made with never_align=promote_syms.  S_p is the configured promote
+    vocabulary; S_s collects atoms that appear in gold graphs, are never
+    aligned by the aligner, and are not in S_p.
     """
     s_p = tuple(promote_syms)
     never = frozenset(s_p)
     s_s = set()
-    for sentence, gold in records:
-        amap = align(sentence, gold, never_align=never)
-        aligned = {v for _, v in amap.token_pairs}
+    for _, gold, amap in aligned:
+        aligned_vids = {v for _, v in amap.token_pairs}
         for vid, vert in enumerate(gold.vertices):
             r = vert.symbol.render()
-            if vid not in aligned and r not in never:
+            if vid not in aligned_vids and r not in never:
                 s_s.add(r)
     return s_p, frozenset(s_s)

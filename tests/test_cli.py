@@ -168,6 +168,27 @@ def test_oracle_summary_rounds_failures_down(tmp_path, mini_file, capsys):
     assert summary != "round-trip 100%"
 
 
+# SHA-256 of the mini-corpus model (train --epochs 3 --seed 7) and of its
+# beam-3 parse; decoding and scoring changes must leave both as they are
+MINI_MODEL_SHA256 = \
+    "bdc4fad0984c560b8f832ba42a92d3dd1d7718931858f3c88ee72b1b09422d99"
+MINI_PARSE_SHA256 = \
+    "980b7d09dc7751c641fd79c1f9875cf534b938744737f8ac387f405fa80dd974"
+
+
+def test_mini_corpus_model_and_parse_are_unchanged(tmp_path, mini_file):
+    import hashlib
+
+    model = tmp_path / "model.json"
+    parsed = tmp_path / "parsed.txt"
+    assert run(["train", mini_file, str(model), "--epochs", "3",
+                "--seed", "7"]) == 0
+    assert run(["parse", mini_file, "--model", str(model), "--beam", "3",
+                "--seed", "7", "-o", str(parsed)]) == 0
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == MINI_MODEL_SHA256
+    assert hashlib.sha256(parsed.read_bytes()).hexdigest() == MINI_PARSE_SHA256
+
+
 def test_replay_command(tmp_path, tiny_file):
     actions = tmp_path / "actions.txt"
     assert run(["oracle", tiny_file, "-o", str(actions)]) == 0
@@ -251,23 +272,44 @@ def test_config_file_defaults_with_flag_override(tmp_path, tiny_file, monkeypatc
 
 @pytest.mark.parametrize("case", ["unknown_replay_id", "config_without_file",
                                   "missing_corpus", "missing_config",
-                                  "missing_candidate"])
+                                  "missing_candidate", "oracle_without_gold",
+                                  "config_line_without_equals",
+                                  "config_key_not_an_option",
+                                  "config_with_positional"])
 def test_malformed_input_ends_in_one_error_line(tmp_path, tiny_file, capsys, case):
     missing = str(tmp_path / "absent")
     golds = tmp_path / "golds.ulf"
     golds.write_text(ingest(tiny_file)[0].ulf + "\n")
     actions = tmp_path / "actions.txt"
     actions.write_text("# id: no-such-id\nWORDGEN\n")
-    argv = {
-        "unknown_replay_id": ["replay", tiny_file, str(actions)],
-        "config_without_file": ["stats", tiny_file, "--config"],
-        "missing_corpus": ["stats", missing],
-        "missing_config": ["stats", tiny_file, "--config", missing],
-        "missing_candidate": ["eval", "both", missing, str(golds)],
+    rows = [json.loads(l) for l in open(tiny_file)][:2]
+    del rows[1]["ulf"]
+    no_gold = tmp_path / "no_gold.jsonl"
+    no_gold.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    configs = {}
+    for name, text in (("bare", "beam\n"), ("unknown", "colour = red\n"),
+                       ("beam", "beam = 10\n")):
+        configs[name] = tmp_path / (name + ".conf")
+        configs[name].write_text(text)
+    argv, named = {
+        "unknown_replay_id": (["replay", tiny_file, str(actions)], "no-such-id"),
+        "config_without_file": (["stats", tiny_file, "--config"], "--config"),
+        "missing_corpus": (["stats", missing], "absent"),
+        "missing_config": (["stats", tiny_file, "--config", missing], "absent"),
+        "missing_candidate": (["eval", "both", missing, str(golds)], "absent"),
+        "oracle_without_gold": (["oracle", str(no_gold)], "mc-002 has no gold"),
+        "config_line_without_equals": (
+            ["parse", tiny_file, "--config", str(configs["bare"])], "'beam'"),
+        "config_key_not_an_option": (
+            ["parse", tiny_file, "--config", str(configs["unknown"])], "'colour'"),
+        # the config's flags must not take the corpus path for a value
+        "config_with_positional": (
+            ["stats", tiny_file, "--config", str(configs["beam"])], "'beam'"),
     }[case]
     assert run(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert named in err[0]
 
 
 def test_first_divergence_diagnostic():
@@ -314,6 +356,29 @@ def test_parse_external_scorer(tmp_path, tiny_file):
                 "--external-cmd", "%s %s" % (_sys.executable, script),
                 "--beam", "1", "--cap", "120", "-o", str(parsed)]) == 0
     assert parsed.read_text().count("# id:") == 5
+
+
+def test_parse_external_scorer_that_exits_at_once(tmp_path, tiny_file,
+                                                  capsys, monkeypatch):
+    import sys as _sys
+    from ulfparse import decode as dec
+    model = tmp_path / "model.json"
+    assert run(["train", tiny_file, str(model), "--epochs", "1",
+                "--seed", "0"]) == 0
+    # the scorer is gone before the first request is written
+    started = dec.ExternalScorer.__init__
+
+    def start_and_wait(self, *args, **kwargs):
+        started(self, *args, **kwargs)
+        self.proc.wait()
+
+    monkeypatch.setattr(dec.ExternalScorer, "__init__", start_and_wait)
+    capsys.readouterr()
+    assert run(["parse", tiny_file, "--model", str(model),
+                "--scorer", "external",
+                "--external-cmd", "%s -c pass" % _sys.executable]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: external scorer")
 
 
 def test_ingest_dep_head_out_of_range(tmp_path):

@@ -2,13 +2,14 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulfparse import decode as dec
 from ulfparse import machine as tm
 from ulfparse.cli import load_mini_corpus
 from ulfparse.core import Sentence, graphs_equal
 from ulfparse.oracle import extract_with_alignment
-from ulfparse.typesys import Lexicon, TypeGrammar
+from ulfparse.typesys import Lexicon, TypeGrammar, check_arc, type_of
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +137,38 @@ def test_train_empty_corpus_rejected():
         dec.train_perceptron([], epochs=1, seed=0)
 
 
+def test_one_pass_scores_equal_per_action_sums(trained, corpus_items):
+    # bit for bit, -0.0 included: parse files print the score
+    trained_model, machine = trained
+    untrained = dec.PerceptronModel(actions=list(trained_model.actions))
+    for model in (trained_model, untrained):
+        scorer = dec.PerceptronScorer(model)
+        for rec, actions in corpus_items[:10]:
+            c = machine.init(rec.sentence)
+            for gold in actions:
+                feats = dec.extract_features(c, rec.deps)
+                legal = dec._concrete_candidates(machine, c) + ["NO-SUCH-ACTION"]
+                got = scorer.score(c, feats, legal)
+                buckets = model.buckets(feats)
+                assert [repr(got[a]) for a in legal] == \
+                    [repr(model.score_buckets(buckets, a)) for a in legal]
+                c = machine.apply(c, gold)
+
+
+def test_bucket_memo_stays_bounded_and_exact(corpus_items, monkeypatch):
+    monkeypatch.setattr(dec, "BUCKET_MEMO_SIZE", 50)
+    model = dec.PerceptronModel(actions=[], salt=3)
+    machine = tm.Machine()
+    for rec, actions in corpus_items[:3]:
+        c = machine.init(rec.sentence)
+        for a in actions:
+            feats = dec.extract_features(c, rec.deps)
+            assert model.buckets(feats) == [
+                (dec._bucket(f, 3, model.dim), v) for f, v in feats.items()]
+            assert len(model._bucket_of) <= 50 + len(feats)
+            c = machine.apply(c, a)
+
+
 def test_model_json_roundtrip(trained):
     model, _ = trained
     clone = dec.PerceptronModel.from_json(model.to_json())
@@ -204,6 +237,70 @@ def test_external_scorer_timeout():
     c = m.init(Sentence.make(["a"]))
     with pytest.raises(dec.ExternalScorerError):
         scorer.score(c, {}, ["SKIP"])
+
+
+UTF8_SCORER = r"""
+import json, sys
+inp, out = sys.stdin.buffer, sys.stdout.buffer
+while True:
+    header = inp.readline()
+    if not header:
+        break
+    req = json.loads(inp.read(int(header)))
+    inp.readline()
+    scores = {a: float(i) for i, a in enumerate(sorted(req["legal"]))}
+    body = json.dumps({"note": "naïve — über", "scores": scores},
+                      ensure_ascii=False).encode()
+    out.write(b"%d\n%s\n" % (len(body), body))
+    out.flush()
+"""
+
+
+def test_external_scorer_counts_reply_bytes():
+    # raw UTF-8 makes the byte count larger than the character count
+    scorer = dec.ExternalScorer([sys.executable, "-c", UTF8_SCORER], timeout=5)
+    try:
+        c = tm.Machine().init(Sentence.make(["a"]))
+        for _ in range(2):
+            assert scorer.score(c, {"f": 1.0}, ["WORDGEN", "SKIP"]) == \
+                {"SKIP": 0.0, "WORDGEN": 1.0}
+    finally:
+        scorer.close()
+
+
+RAW_REPLY_SCORER = r"""
+import sys, time
+sys.stdin.buffer.readline()
+sys.stdout.buffer.write(bytes.fromhex(sys.argv[1]))
+sys.stdout.buffer.flush()
+time.sleep(float(sys.argv[2]))
+"""
+
+
+def _framed(body):
+    return b"%d\n%s\n" % (len(body), body)
+
+
+@pytest.mark.parametrize("reply, linger", [
+    (_framed(b'{"scores": {"SKIP": 1.0}}')[:-8], 30),  # truncated, then silent
+    (_framed(b'{"scores": {"SKIP": 1.0}}')[:-8], 0),   # truncated, then exits
+    (b"hello\n", 30),                                   # garbage header
+    (_framed(b"hello"), 0),                             # garbage body
+    (_framed(b'{"scores": ["SKIP"]}'), 0),              # scores not a map
+    (_framed(b'{"scores": {"SKIP": NaN}}'), 0),         # non-finite score
+    (_framed(b'{"scores": {"SKIP": "\xff"}}'), 30),     # body not UTF-8
+], ids=["truncated-silent", "truncated-exit", "garbage-header", "garbage-body",
+        "scores-not-a-map", "non-finite", "not-utf8"])
+def test_external_scorer_bad_reply_raises(reply, linger):
+    scorer = dec.ExternalScorer(
+        [sys.executable, "-c", RAW_REPLY_SCORER, reply.hex(), str(linger)],
+        timeout=1.0)
+    c = tm.Machine().init(Sentence.make(["a"]))
+    try:
+        with pytest.raises(dec.ExternalScorerError):
+            scorer.score(c, {}, ["SKIP"])
+    finally:
+        scorer.close()
 
 
 # -- beam search with constraints ----------------------------------------------
@@ -298,3 +395,132 @@ def test_cap_finalizes_as_is(trained):
     assert len(res.actions) <= 12
     for frag in res.fragments:
         frag.validate()
+
+
+# -- score-then-apply beam against the eager reference ---------------------------
+
+def _reference_type_filtered(item, action, grammar):
+    c = item.config
+    kind = tm.action_kind(action)
+    types = item.types
+    while len(types) < len(c.verts):
+        types = types + (type_of(c.verts[len(types)].symbol, grammar),)
+    if kind == "ARC":
+        _, direction, _ = tm.parse_arc_action(action)
+        l, r = c.cache
+        head, dep = (r, l) if direction == "left" else (l, r)
+    elif kind == "PROMOTE_ARC":
+        head, dep = c.promoted, c.cache[1]
+    else:
+        return types
+    ok, new_type = check_arc(types[head], types[dep])
+    if not ok:
+        return None
+    return types[:head] + (new_type,) + types[head + 1:]
+
+
+def _reference_beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
+                           grammar=None, cap=None, dep=None):
+    """The eager beam search: apply every candidate, sort them all, and
+    run until no live item is left."""
+    cap = cap if cap is not None else machine.step_cap
+    beam = [dec.BeamItem(machine.init(sentence))]
+    finished = []
+    while beam:
+        candidates = []
+        for item in beam:
+            c = item.config
+            if machine.is_terminal(c):
+                finished.append(dec.BeamItem(c, item.score, item.history,
+                                             item.types, item.rank + (0,)))
+                continue
+            if c.steps >= cap:
+                finished.append(dec.BeamItem(c, item.score, item.history,
+                                             item.types, item.rank + (1,)))
+                continue
+            legal = dec._concrete_candidates(machine, c)
+            legal = dec._lexicon_filtered(machine, c, legal, lexicon)
+            feats = dec.extract_features(c, dep)
+            scores = dec._log_softmax(scorer.score(c, feats, legal))
+            for ai, action in enumerate(sorted(legal, key=tm.action_sort_key)):
+                types = item.types
+                if grammar is not None:
+                    types = _reference_type_filtered(item, action, grammar)
+                    if types is None:
+                        continue
+                candidates.append(dec.BeamItem(
+                    machine.apply(c, action),
+                    item.score + scores.get(action, 0.0),
+                    item.history + (action,),
+                    types,
+                    item.rank + (ai,),
+                ))
+        if not candidates:
+            break
+        candidates.sort(key=lambda it: (-it.score, it.rank))
+        beam = candidates[:beam_size]
+        finished.sort(key=lambda it: (-it.score, it.rank))
+        finished = finished[: max(beam_size, 1)]
+    pool = finished if finished else beam
+    best = min(pool, key=lambda it: (-it.score, it.rank))
+    return dec.DecodeResult(
+        fragments=machine.extract_result(best.config),
+        actions=list(best.history),
+        score=best.score,
+        finished=machine.is_terminal(best.config),
+    )
+
+
+@pytest.fixture(scope="module")
+def corpus_lexicon():
+    table = {}
+    for rec in load_mini_corpus():
+        for v in rec.gold_graph.vertices:
+            table.setdefault(v.symbol.stem.lower(), set()).add(v.symbol.render())
+    return Lexicon(table)
+
+
+class _UniformScorer:
+    """Equal scores: many ties, which only the ranks break."""
+
+    def score(self, c, features, legal):
+        return {a: 0.0 for a in legal}
+
+
+@settings(max_examples=50, deadline=None)
+@given(index=st.integers(0, 24), beam=st.sampled_from([1, 3, 10]),
+       constrained=st.booleans(),
+       scorer=st.sampled_from(["perceptron", "random", "uniform"]),
+       cap=st.sampled_from([40, 150, 800]))
+def test_beam_matches_eager_reference(trained, corpus_lexicon, index, beam,
+                                      constrained, scorer, cap):
+    model, machine = trained
+    rec = load_mini_corpus()[index]
+    make = {"perceptron": lambda: dec.PerceptronScorer(model),
+            "random": lambda: dec.RandomScorer(index),
+            "uniform": lambda: _UniformScorer()}[scorer]
+    kw = dict(beam_size=beam, cap=cap, dep=rec.deps)
+    if constrained:
+        kw.update(grammar=TypeGrammar.default(), lexicon=corpus_lexicon)
+    got = dec.beam_decode(rec.sentence, make(), machine, **kw)
+    want = _reference_beam_decode(rec.sentence, make(), machine, **kw)
+    assert got == want
+    assert repr(got.score) == repr(want.score)  # 0.0 == -0.0, but not in print
+
+
+class _TieScorer:
+    """MERGEBUF and SKIP tie at the first step; afterwards SKIP is certain."""
+
+    def score(self, c, features, legal):
+        first = ("MERGEBUF", "SKIP") if c.steps == 0 else ("SKIP",)
+        return {a: 0.0 if a in first else -1e9 for a in legal}
+
+
+def test_early_stop_breaks_score_ties_by_rank():
+    # SKIP SKIP finishes first; MERGEBUF SKIP SKIP finishes a step later
+    # with the same score and a smaller rank, so the search must go on
+    m = tm.Machine(arc_labels=[], suffixes=[], symgen_vocab=[], promote_syms=[])
+    s = Sentence.make(["a", "b"])
+    got = dec.beam_decode(s, _TieScorer(), m, beam_size=2)
+    assert got.actions == ["MERGEBUF", "SKIP", "SKIP"] and got.finished
+    assert got == _reference_beam_decode(s, _TieScorer(), m, beam_size=2)

@@ -253,6 +253,41 @@ def _check_invariants(c):
     return True
 
 
+# the open-vocabulary machine lists "*" markers in place of parameters
+OPEN_MACHINE = tm.Machine()
+
+
+def _action_pool(m):
+    """Every action of m's vocabularies in any phase, out-of-vocabulary
+    stand-ins for open-vocabulary markers, and malformed variants."""
+    fixed = ["WORDGEN", "NAME", "LEMMA", "TOKEN", "SKIP", "MERGEBUF",
+             "PUSHIDX:0", "PUSHIDX:1", "NOARC", "NOPROMOTE", "POP", "NOPOP"]
+    menus = (["SYMGEN:" + s for s in m.symgen_vocab]
+             + ["SUFFIX:" + e for e in m.suffixes]
+             + ["PROMOTE_SYM:" + s for s in m.promote_syms]
+             + ["PROMOTE_ARC:" + lab for lab in m.arc_labels]
+             + [tm.arc_action(0, d, lab) for d in ("left", "right")
+                for lab in m.arc_labels])
+    stand_ins = ["SYMGEN:zz.n", "SUFFIX:adv-a", "SUFFIX:", "PROMOTE_SYM:zz",
+                 "PROMOTE_ARC::OTHER", "ARC:0:left::OTHER", "ARC:0:right::OTHER",
+                 "ARC:0:left:", "SYMGEN:"]
+    malformed = ["", "SYMGEN", "SUFFIX", "PROMOTE_SYM", "PROMOTE_ARC", "ARC",
+                 "ARC:0", "ARC:0:left", "ARC:1:left::ARG0", "ARC:0:up::ARG0",
+                 "ARC:x:right::ARG1", "POP:x", "NOPOP:", "NOARC:x", "PUSHIDX",
+                 "PUSHIDX:2", "PUSHIDX:", "WORDGEN:x", "NAME:x", "SKIP:0",
+                 "MERGEBUF:x", "NOPROMOTE:x", "GEN", "arc:0:left::ARG0"]
+    return fixed + menus + stand_ins + malformed
+
+
+WALK_POOL = _action_pool(WALK_MACHINE)
+
+
+def _listed(legal, action):
+    """action is in legal, or matches one of its open-vocabulary markers."""
+    return action in legal or any(
+        a.endswith(":*") and action.startswith(a[:-1]) for a in legal)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 1 << 30), min_size=5, max_size=60))
 def test_random_walk_preserves_invariants(choices):
@@ -265,6 +300,22 @@ def test_random_walk_preserves_invariants(choices):
             break
         c = m.apply(c, legal[pick % len(legal)])
         _check_invariants(c)
+        # is_legal and legal_actions agree, closed vocabularies and open
+        for mach in (m, OPEN_MACHINE):
+            menu = mach.legal_actions(c)
+            for a in WALK_POOL:
+                assert mach.is_legal(c, a) == _listed(menu, a), (c.phase, a)
+        # the parents tuple agrees with a scan of the edges
+        scanned = [None] * len(c.verts)
+        for src, dst, _ in c.edges:
+            scanned[dst] = src
+        assert c.parents == tuple(scanned)
+        # the walk-up cycle check agrees with the descendants rule
+        below = [c.descendants(v) for v in range(len(c.verts))]
+        for src in range(len(c.verts)):
+            for dst in range(len(c.verts)):
+                want = scanned[dst] is None and src != dst and src not in below[dst]
+                assert m._arc_ok(c, src, dst) == want
         # vertices from SUFFIX carry alignments; generated symbols do not
         if c.last_action.startswith("SUFFIX"):
             assert c.verts[-1].alignment is not None

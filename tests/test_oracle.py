@@ -149,14 +149,14 @@ def test_build_symbol_sets_empty_and_full():
     # every atom aligns: nothing unaligned
     s = Sentence.make(["run"], ["run"], ["VB"])
     gold = tree_to_graph(parse_sexpr("run.v"))
-    _, s_s = build_symbol_sets([(s, gold)])
+    _, s_s = build_symbol_sets([(s, gold, align(s, gold, never_align=NEVER))])
     assert s_s == frozenset()
 
 
 def test_build_symbol_sets_harvests_unaligned():
     s = Sentence.make(["go", "now"], ["go", "now"], ["VB", "RB"])
     gold = tree_to_graph(parse_sexpr("(that.pro (go.v now.adv-e))"))
-    _, s_s = build_symbol_sets([(s, gold)])
+    _, s_s = build_symbol_sets([(s, gold, align(s, gold, never_align=NEVER))])
     assert "that.pro" in s_s
     assert "go.v" not in s_s
 
