@@ -501,8 +501,22 @@ def _add_common(p, cap=True, promote=True, seed=False):
         p.add_argument("--seed", type=int, default=0)
 
 
+class _UsageError(Exception):
+    """An argparse usage error, raised instead of exiting so that `main`
+    can tell a rejected config value from a bad command line."""
+
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="ulfparse",
         description="Transition-based semantic parser for ULF")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -624,12 +638,29 @@ def _apply_config(argv):
     return argv + list(flags), flags
 
 
+def _blame_config(parser, argv, config_flags):
+    """After a usage error: if the command line parses without the config
+    file's flags, raise CorpusError naming the first config key whose
+    value the parser rejects."""
+    cmdline = [a for a in argv if a not in config_flags]
+    parser.parse_known_args(cmdline)  # a bad command line raises its own
+    for flag, key in config_flags.items():
+        try:
+            parser.parse_known_args(cmdline + [flag])
+        except _UsageError as e:
+            raise CorpusError("config key %r: %s" % (key, e)) from None
+
+
 def main(argv=None):
     try:
         argv, config_flags = _apply_config(
             argv if argv is not None else sys.argv[1:])
         parser = build_parser()
-        args, extra = parser.parse_known_args(argv)
+        try:
+            args, extra = parser.parse_known_args(argv)
+        except _UsageError:
+            _blame_config(parser, argv, config_flags)
+            raise
         for flag in extra:
             if flag in config_flags:
                 raise CorpusError("config key %r is not an option of %s"
@@ -637,6 +668,9 @@ def main(argv=None):
         if extra:
             parser.error("unrecognized arguments: %s" % " ".join(extra))
         return args.func(args)
+    except _UsageError as e:
+        # command-line usage errors keep argparse's usage block and exit 2
+        argparse.ArgumentParser.error(e.parser, str(e))
     except (CorpusError, oracle.OracleError, ValueError, OSError,
             dec.ExternalScorerError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -56,41 +56,55 @@ class TripleSet:
         return cls(instances, relations, roots)
 
 
-def _match_count(mapping, inst_w, rel_w):
-    total = 0
-    for i, j in enumerate(mapping):
-        if j < 0:
-            continue
-        total += inst_w.get((i, j), 0)
-        for (i2, j2), w in rel_w.get((i, j), {}).items():
-            if i2 < len(mapping) and mapping[i2] == j2:
-                total += w
-    return total
-
-
 def best_mapping(cand: TripleSet, gold: TripleSet, restarts=4, seed=0):
     """Best candidate-to-gold variable mapping via hill-climbing.
 
     Returns (matched triple count, mapping list).  Deterministic given
     the seed; restart 0 uses a label-greedy initialization and the rest
-    are random over the candidate pools.
+    are random over the candidate pools.  Each climb step takes the best
+    move with a positive gain: setting a variable to a free gold node, or
+    swapping the values of two variables (first found on ties, scanning
+    set moves by variable and node, then swaps by variable pair).
+
+    Gains come from only the triples a move touches, as in Cai & Knight's
+    smatch.  `contrib[i, j]` is the weight of the triples on variable i if
+    it maps to j while the others keep their mapping (column gn: unmapped);
+    moving a variable updates only the entries of the variables that share
+    a relation triple with it.  A set move gains `contrib[i, j] -
+    contrib[i, mapping[i]]`.  A swap gains the sum of its two set moves,
+    plus, for two variables that share relation triples, a correction
+    for those triples (the set moves count them at the values before the
+    swap), recomputed whenever either variable moves.
+
+    Why this is exact: gains are integers; the table entries that are not
+    moves (taken nodes, unmapping, pairs not above the diagonal, two
+    unmapped variables) are at most 0, while a move must gain more than 0;
+    and `argmax` returns the first maximum in row-major order, which is
+    the scan order above with its strict `>` test.  So each step takes the
+    move that re-counting every trial mapping in full would take.
     """
     cvars = {v: i for i, (v, _) in enumerate(cand.instances)}
     gvars = {v: j for j, (v, _) in enumerate(gold.instances)}
     cn, gn = len(cand.instances), len(gold.instances)
+    if not cn or not gn:
+        return 0, [-1] * cn
 
     # candidate pools: gold nodes with equal instance labels, plus nodes
     # reachable through same-role relation triples (a mapping without an
     # instance match can still earn relation matches)
     pool_sets = [set() for _ in range(cn)]
-    inst_w = {}
+    # node_w[i, j]: triples matched by i -> j alone (its instance triple
+    # and self-loops); column gn stands for "unmapped"
+    node_w = np.zeros((cn, gn + 1), dtype=np.int64)
     for i, (_, cl) in enumerate(cand.instances):
         for j, (_, gl) in enumerate(gold.instances):
             if gl == cl:
                 pool_sets[i].add(j)
-                inst_w[(i, j)] = 1
+                node_w[i, j] = 1
 
-    rel_w: dict = {}
+    # pair_w[(i, j)][(x, y)]: relation triples between variables i != x,
+    # in either direction, matched when i -> j and x -> y
+    pair_w: dict = {}
     gold_rels: dict = {}
     for lab, gv1, gv2 in gold.relations:
         gold_rels.setdefault(lab, []).append((gvars[gv1], gvars[gv2]))
@@ -99,16 +113,48 @@ def best_mapping(cand: TripleSet, gold: TripleSet, restarts=4, seed=0):
         for j1, j2 in gold_rels.get(lab, []):
             pool_sets[i1].add(j1)
             pool_sets[i2].add(j2)
-            # relation triple matches when both endpoint mappings hold
-            rel_w.setdefault((i1, j1), {})[(i2, j2)] = (
-                rel_w.setdefault((i1, j1), {}).get((i2, j2), 0) + 1
-            )
+            if i1 == i2:
+                if j1 == j2:
+                    node_w[i1, j1] += 1
+                continue
+            for end, other in (((i1, j1), (i2, j2)), ((i2, j2), (i1, j1))):
+                row = pair_w.setdefault(end, {})
+                row[other] = row.get(other, 0) + 1
     pools = [sorted(s) for s in pool_sets]
+    # related variable pairs (i < k) and, per variable, the pairs it is in
+    related = sorted({(min(i, x), max(i, x))
+                      for (i, _), row in pair_w.items() for x, _ in row})
+    rel_i = np.array([i for i, _ in related], dtype=np.intp)
+    rel_k = np.array([k for _, k in related], dtype=np.intp)
+    pairs_of = [[] for _ in range(cn)]
+    for p, (i, k) in enumerate(related):
+        pairs_of[i].append(p)
+        pairs_of[k].append(p)
+
+    def assign(contrib, mapping, i, j):
+        """Move i from its node to j (-1: unmapped), updating `contrib` of
+        the variables that share a relation triple with i."""
+        for node, sign in ((mapping[i], -1), (j, 1)):
+            for (x, y), w in pair_w.get((i, node), {}).items():
+                contrib[x, y] += sign * w
+        mapping[i] = j
+
+    def swap_fix(mapping, p):
+        """What swapping related pair p adds to its two set-move gains:
+        the triples between them at the swapped values less those at the
+        values each set move assumes."""
+        i, k = related[p]
+        a, b = mapping[i], mapping[k]
+        at_a, at_b = pair_w.get((i, a), {}), pair_w.get((i, b), {})
+        return (at_b.get((k, a), 0) + at_a.get((k, b), 0)
+                - at_a.get((k, a), 0) - at_b.get((k, b), 0))
 
     rng = np.random.default_rng(seed)
     best_num, best_map = -1, [-1] * cn
     for restart in range(max(1, restarts + 1)):
+        contrib = node_w.copy()
         mapping = [-1] * cn
+        num = 0
         used = set()
         order = list(range(cn))
         if restart > 0:
@@ -118,48 +164,53 @@ def best_mapping(cand: TripleSet, gold: TripleSet, restarts=4, seed=0):
             if not choices:
                 continue
             j = choices[0] if restart == 0 else int(rng.choice(choices))
-            mapping[i] = j
             used.add(j)
-        num = _match_count(mapping, inst_w, rel_w)
-        improved = True
-        while improved:
-            improved = False
-            base = num
-            best_move, best_gain = None, 0
-            for i in range(cn):
-                cur = mapping[i]
-                for j in pools[i] + [-1]:
-                    if j == cur or (j >= 0 and j in used and j != cur):
-                        continue
-                    trial = list(mapping)
-                    trial[i] = j
-                    gain = _match_count(trial, inst_w, rel_w) - base
-                    if gain > best_gain:
-                        best_gain, best_move = gain, ("set", i, j)
-            for i in range(cn):
-                for k in range(i + 1, cn):
-                    if mapping[i] == mapping[k] == -1:
-                        continue
-                    trial = list(mapping)
-                    trial[i], trial[k] = trial[k], trial[i]
-                    gain = _match_count(trial, inst_w, rel_w) - base
-                    if gain > best_gain:
-                        best_gain, best_move = gain, ("swap", i, k)
-            if best_move:
-                kind, a, b = best_move
-                if kind == "set":
-                    if mapping[a] >= 0:
-                        used.discard(mapping[a])
-                    mapping[a] = b
-                    if b >= 0:
-                        used.add(b)
-                else:
-                    mapping[a], mapping[b] = mapping[b], mapping[a]
-                num = base + best_gain
-                improved = True
+            num += int(contrib[i, j])
+            assign(contrib, mapping, i, j)
+        fix = np.array([swap_fix(mapping, p) for p in range(len(related))],
+                       dtype=np.int64)
+        while True:
+            col = np.array(mapping)
+            col[col < 0] = gn
+            gain = contrib - contrib[np.arange(cn), col][:, None]
+            # swaps[i, k], i < k: gain[i, col[k]] is i taking k's value;
+            # two unmapped variables gain 0
+            swaps = gain[:, col]
+            swaps = np.triu(swaps + swaps.T, 1)
+            swaps[rel_i, rel_k] += fix
+            # taken nodes are no set moves; unmapping (column gn) never
+            # gains, so it is left out
+            sets = gain[:, :gn]
+            sets[:, col[col < gn]] = 0
+            s, w = int(sets.argmax()), int(swaps.argmax())
+            set_gain, swap_gain = int(sets.flat[s]), int(swaps.flat[w])
+            if swap_gain > max(set_gain, 0):
+                i, k = divmod(w, cn)
+                a, b = mapping[i], mapping[k]
+                assign(contrib, mapping, i, b)
+                assign(contrib, mapping, k, a)
+                num += swap_gain
+                moved = pairs_of[i] + pairs_of[k]
+            elif set_gain > 0:
+                i, j = divmod(s, gn)
+                assign(contrib, mapping, i, j)
+                num += set_gain
+                moved = pairs_of[i]
+            else:
+                break
+            for p in moved:
+                fix[p] = swap_fix(mapping, p)
         if num > best_num:
             best_num, best_map = num, list(mapping)
     return best_num, best_map
+
+
+def _check_options(k=1, restarts=0):
+    """Reject an n-gram order below 1 or a negative restart count."""
+    if k < 1:
+        raise ValueError("k must be at least 1, got %d" % k)
+    if restarts < 0:
+        raise ValueError("restarts must be at least 0, got %d" % restarts)
 
 
 def _triple_counts(candidate, gold, restarts, seed):
@@ -181,6 +232,7 @@ def _prf(matched, cand_size, gold_size):
 
 def el_smatch(candidate, gold, restarts=4, seed=0):
     """(F1, precision, recall) over instance+relation triples."""
+    _check_options(restarts=restarts)
     return _prf(*_triple_counts(candidate, gold, restarts, seed))
 
 
@@ -249,6 +301,7 @@ def _sembleu_counts(candidate, gold, k):
 
 
 def sembleu(candidate, gold, k=3) -> float:
+    _check_options(k=k)
     return _bleu_from_stats(*_sembleu_counts(candidate, gold, k))
 
 
@@ -294,6 +347,7 @@ def corpus_eval(pairs, k=3, restarts=4, seed=0, ids=None) -> EvalReport:
     n-gram counts; EL-Smatch pools triple counts.  Per-pair RNG is
     derived from (seed, pair index).
     """
+    _check_options(k, restarts)
     rows = []
     pooled_stats = [(0, 0)] * k
     pooled_clen = pooled_glen = 0

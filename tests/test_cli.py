@@ -168,12 +168,17 @@ def test_oracle_summary_rounds_failures_down(tmp_path, mini_file, capsys):
     assert summary != "round-trip 100%"
 
 
-# SHA-256 of the mini-corpus model (train --epochs 3 --seed 7) and of its
-# beam-3 parse; decoding and scoring changes must leave both as they are
+# SHA-256 of the mini-corpus model (train --epochs 3 --seed 7), of its
+# beam-3 parse and of the JSON and TSV `eval both` reports of that parse;
+# decoding, scoring and metric changes must leave all four as they are
 MINI_MODEL_SHA256 = \
     "bdc4fad0984c560b8f832ba42a92d3dd1d7718931858f3c88ee72b1b09422d99"
 MINI_PARSE_SHA256 = \
     "980b7d09dc7751c641fd79c1f9875cf534b938744737f8ac387f405fa80dd974"
+MINI_REPORT_JSON_SHA256 = \
+    "2fa07f1c5369ab5d6df393c4582dd106ecaef3eb6058bcd4be2fbd3281042519"
+MINI_REPORT_TSV_SHA256 = \
+    "31893524c1a237200ba5da3d1a6e92d4633cb0456ded030293c2b8c1df6df007"
 
 
 def test_mini_corpus_model_and_parse_are_unchanged(tmp_path, mini_file):
@@ -187,6 +192,14 @@ def test_mini_corpus_model_and_parse_are_unchanged(tmp_path, mini_file):
                 "--seed", "7", "-o", str(parsed)]) == 0
     assert hashlib.sha256(model.read_bytes()).hexdigest() == MINI_MODEL_SHA256
     assert hashlib.sha256(parsed.read_bytes()).hexdigest() == MINI_PARSE_SHA256
+    golds = tmp_path / "golds.ulf"
+    golds.write_text("\n".join(r.ulf for r in ingest(mini_file)) + "\n")
+    for name, want in (("report.json", MINI_REPORT_JSON_SHA256),
+                       ("report.tsv", MINI_REPORT_TSV_SHA256)):
+        report = tmp_path / name
+        assert run(["eval", "both", str(parsed), str(golds),
+                    "--report", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == want
 
 
 def test_replay_command(tmp_path, tiny_file):
@@ -275,7 +288,10 @@ def test_config_file_defaults_with_flag_override(tmp_path, tiny_file, monkeypatc
                                   "missing_candidate", "oracle_without_gold",
                                   "config_line_without_equals",
                                   "config_key_not_an_option",
-                                  "config_with_positional"])
+                                  "config_with_positional",
+                                  "config_flag_with_value",
+                                  "config_value_not_an_int",
+                                  "eval_k_zero", "eval_negative_restarts"])
 def test_malformed_input_ends_in_one_error_line(tmp_path, tiny_file, capsys, case):
     missing = str(tmp_path / "absent")
     golds = tmp_path / "golds.ulf"
@@ -288,7 +304,8 @@ def test_malformed_input_ends_in_one_error_line(tmp_path, tiny_file, capsys, cas
     no_gold.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     configs = {}
     for name, text in (("bare", "beam\n"), ("unknown", "colour = red\n"),
-                       ("beam", "beam = 10\n")):
+                       ("beam", "beam = 10\n"), ("types", "types = true\n"),
+                       ("k", "k = x\n")):
         configs[name] = tmp_path / (name + ".conf")
         configs[name].write_text(text)
     argv, named = {
@@ -305,11 +322,36 @@ def test_malformed_input_ends_in_one_error_line(tmp_path, tiny_file, capsys, cas
         # the config's flags must not take the corpus path for a value
         "config_with_positional": (
             ["stats", tiny_file, "--config", str(configs["beam"])], "'beam'"),
+        # values argparse rejects: a value for a flag that takes none, a bad int
+        "config_flag_with_value": (
+            ["parse", tiny_file, "--config", str(configs["types"])], "'types'"),
+        "config_value_not_an_int": (
+            ["eval", "both", str(golds), str(golds), "--config",
+             str(configs["k"])], "'k'"),
+        "eval_k_zero": (["eval", "both", str(golds), str(golds), "--k", "0"],
+                        "k must be"),
+        "eval_negative_restarts": (
+            ["eval", "both", str(golds), str(golds), "--restarts", "-1"],
+            "restarts must be"),
     }[case]
     assert run(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert named in err[0]
+
+
+def test_command_line_usage_error_keeps_exit_2(tmp_path, tiny_file, capsys):
+    # a bad typed value is argparse's usage error, also beside a good config
+    golds = tmp_path / "golds.ulf"
+    golds.write_text(ingest(tiny_file)[0].ulf + "\n")
+    cfg = tmp_path / "eval.conf"
+    cfg.write_text("restarts = 2\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "both", str(golds), str(golds), "--config", str(cfg),
+             "--k", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ulfparse eval") and "--k: invalid int" in err
 
 
 def test_first_divergence_diagnostic():

@@ -59,6 +59,103 @@ def brute_force_best(cand: TripleSet, gold: TripleSet) -> int:
     return best
 
 
+# -- full-recount hill-climb (test-only reference) -----------------------------
+
+def _reference_match_count(mapping, inst_w, rel_w):
+    total = 0
+    for i, j in enumerate(mapping):
+        if j < 0:
+            continue
+        total += inst_w.get((i, j), 0)
+        for (i2, j2), w in rel_w.get((i, j), {}).items():
+            if i2 < len(mapping) and mapping[i2] == j2:
+                total += w
+    return total
+
+
+def _reference_best_mapping(cand: TripleSet, gold: TripleSet, restarts=4, seed=0):
+    """The climb `best_mapping` must reproduce: every trial move and swap
+    is scored by re-counting the whole mapping."""
+    cvars = {v: i for i, (v, _) in enumerate(cand.instances)}
+    gvars = {v: j for j, (v, _) in enumerate(gold.instances)}
+    cn = len(cand.instances)
+    pool_sets = [set() for _ in range(cn)]
+    inst_w = {}
+    for i, (_, cl) in enumerate(cand.instances):
+        for j, (_, gl) in enumerate(gold.instances):
+            if gl == cl:
+                pool_sets[i].add(j)
+                inst_w[(i, j)] = 1
+    rel_w: dict = {}
+    gold_rels: dict = {}
+    for lab, gv1, gv2 in gold.relations:
+        gold_rels.setdefault(lab, []).append((gvars[gv1], gvars[gv2]))
+    for lab, cv1, cv2 in cand.relations:
+        i1, i2 = cvars[cv1], cvars[cv2]
+        for j1, j2 in gold_rels.get(lab, []):
+            pool_sets[i1].add(j1)
+            pool_sets[i2].add(j2)
+            row = rel_w.setdefault((i1, j1), {})
+            row[(i2, j2)] = row.get((i2, j2), 0) + 1
+    pools = [sorted(s) for s in pool_sets]
+
+    rng = np.random.default_rng(seed)
+    best_num, best_map = -1, [-1] * cn
+    for restart in range(max(1, restarts + 1)):
+        mapping = [-1] * cn
+        used = set()
+        order = list(range(cn))
+        if restart > 0:
+            order = list(rng.permutation(cn))
+        for i in order:
+            choices = [j for j in pools[i] if j not in used]
+            if not choices:
+                continue
+            j = choices[0] if restart == 0 else int(rng.choice(choices))
+            mapping[i] = j
+            used.add(j)
+        num = _reference_match_count(mapping, inst_w, rel_w)
+        improved = True
+        while improved:
+            improved = False
+            base = num
+            best_move, best_gain = None, 0
+            for i in range(cn):
+                cur = mapping[i]
+                for j in pools[i] + [-1]:
+                    if j == cur or (j >= 0 and j in used and j != cur):
+                        continue
+                    trial = list(mapping)
+                    trial[i] = j
+                    gain = _reference_match_count(trial, inst_w, rel_w) - base
+                    if gain > best_gain:
+                        best_gain, best_move = gain, ("set", i, j)
+            for i in range(cn):
+                for k in range(i + 1, cn):
+                    if mapping[i] == mapping[k] == -1:
+                        continue
+                    trial = list(mapping)
+                    trial[i], trial[k] = trial[k], trial[i]
+                    gain = _reference_match_count(trial, inst_w, rel_w) - base
+                    if gain > best_gain:
+                        best_gain, best_move = gain, ("swap", i, k)
+            if best_move:
+                kind, a, b = best_move
+                if kind == "set":
+                    if mapping[a] >= 0:
+                        used.discard(mapping[a])
+                    mapping[a] = b
+                    if b >= 0:
+                        used.add(b)
+                else:
+                    mapping[a], mapping[b] = mapping[b], mapping[a]
+                num = base + best_gain
+                improved = True
+        if num > best_num:
+            best_num, best_map = num, list(mapping)
+    return best_num, best_map
+
+
 # -- EL-Smatch -----------------------------------------------------------------
 
 def test_elsmatch_identity():
@@ -129,6 +226,77 @@ def test_hillclimb_equals_bruteforce_on_small_graphs():
         got, _ = best_mapping(cand_t, gold_t, restarts=4, seed=i)
         want = brute_force_best(cand_t, gold_t)
         assert got == want, "pair %d: hill-climb %d != brute force %d" % (i, got, want)
+
+
+_LABELS = ["a.v", "b.n", "c.d", "x.pro", "COMPLEX", "pres"]
+
+
+def _random_fragment(rng, n, roles):
+    """A random tree over n labelled vertices plus up to two extra edges
+    (self-loops and repeated edges included)."""
+    from ulfparse.core import Atom, UlfGraph, Vertex
+
+    pick = lambda xs: xs[int(rng.integers(len(xs)))]
+    verts = [Vertex(Atom(pick(_LABELS), "operator")) for _ in range(n)]
+    edges = [(int(rng.integers(v)), v, pick(roles)) for v in range(1, n)]
+    for _ in range(int(rng.integers(3))):
+        edges.append((int(rng.integers(n)), int(rng.integers(n)), pick(roles)))
+    return UlfGraph(verts, edges, 0)
+
+
+def _perturbed(rng, frag, rate, roles):
+    """frag with a share `rate` of labels redrawn and of edges dropped or
+    relabelled."""
+    from ulfparse.core import Atom, UlfGraph, Vertex
+
+    pick = lambda xs: xs[int(rng.integers(len(xs)))]
+    verts = [Vertex(Atom(pick(_LABELS), "operator")) if rng.random() < rate
+             else v for v in frag.vertices]
+    edges = []
+    for src, dst, lab in frag.edges:
+        r = rng.random()
+        if r < rate / 2:
+            continue
+        edges.append((src, dst, pick(roles) if r < rate else lab))
+    return UlfGraph(verts, edges, 0)
+
+
+def _random_side(rng, n, roles):
+    """0..3 fragments holding n vertices in all ([] when n is 0)."""
+    sizes = np.array_split(np.arange(n), int(rng.integers(1, 4))) if n else []
+    return [_random_fragment(rng, len(s), roles) for s in sizes if len(s)]
+
+
+def test_hillclimb_equals_full_recount_reference():
+    # 2-3 edge labels keep the candidate pools dense, so most variable
+    # pairs swap through the gain table and related ones through the
+    # per-pair correction; fragments, empty sides and seeds >= 2**31 too
+    rng = np.random.default_rng(4)
+    for t in range(60):
+        roles = [":ARG0", ":ARG1", ":INSTANCE"][: int(rng.integers(2, 4))]
+        gold = _random_side(rng, int(rng.integers(0, 31)), roles)
+        if gold and t % 3:
+            cand = [_perturbed(rng, f, (0.0, 0.15, 0.4)[t % 3], roles)
+                    for f in gold]
+        else:
+            cand = _random_side(rng, int(rng.integers(0, 31)), roles)
+        cand_t = TripleSet.from_graph(cand, "a")
+        gold_t = TripleSet.from_graph(gold, "b")
+        restarts = int(rng.integers(0, 5))
+        seed = (1, 12345, 2**31 + 7, 2**32 - 1)[t % 4]
+        got = best_mapping(cand_t, gold_t, restarts, seed)
+        want = _reference_best_mapping(cand_t, gold_t, restarts, seed)
+        assert got == want, "pair %d: %r != reference %r" % (t, got, want)
+
+
+def test_options_out_of_range_are_rejected():
+    graph = g("(a.v b.n)")
+    with pytest.raises(ValueError, match="k must be"):
+        sembleu(graph, graph, k=0)
+    with pytest.raises(ValueError, match="restarts must be"):
+        el_smatch(graph, graph, restarts=-1)
+    with pytest.raises(ValueError, match="k must be"):
+        corpus_eval([(graph, graph)], k=0)
 
 
 # -- SemBLEU -------------------------------------------------------------------
