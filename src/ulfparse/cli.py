@@ -520,6 +520,7 @@ def build_parser():
         prog="ulfparse",
         description="Transition-based semantic parser for ULF")
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices  # subcommand name -> its parser
 
     p = sub.add_parser("convert", help="convert between ULF and penman")
     p.add_argument("input")
@@ -606,11 +607,14 @@ def build_parser():
     return ap
 
 
-def _apply_config(argv):
+def _apply_config(argv, parser):
     """Expand `--config FILE` into leading `--key=value` flags: the file
     holds `key = value` lines naming long options (e.g. `beam = 10`),
-    which explicit command-line flags override.  Returns the new argv and
-    {flag: key} for the flags the file added."""
+    which explicit command-line flags override.  A list option's value is
+    split on whitespace (`promote-syms = pres plur`) and becomes the
+    subcommand's default instead, since as a flag it would also take the
+    positional after it for an item.  Returns the new argv and {flag: key}
+    for the flags the file added."""
     argv = list(argv)
     if "--config" not in argv:
         return argv, {}
@@ -619,6 +623,7 @@ def _apply_config(argv):
         raise CorpusError("--config needs a file")
     path = argv[i + 1]
     del argv[i : i + 2]
+    command = parser.commands.get(next((a for a in argv if not a.startswith("-")), None))
     flags = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -629,8 +634,14 @@ def _apply_config(argv):
             if not eq or not key.strip():
                 raise CorpusError("%s line %d: expected 'key = value', got %r"
                                   % (path, lineno, line))
+            key, value = key.strip(), value.strip()
+            dest = key.replace("-", "_")
+            if command is not None and "_" not in key \
+                    and isinstance(command.get_default(dest), list):
+                command.set_defaults(**{dest: value.split()})
+                continue
             # one token each, so a flag never takes a positional as its value
-            flags["--%s=%s" % (key.strip(), value.strip())] = key.strip()
+            flags["--%s=%s" % (key, value)] = key
     # insert defaults right after the subcommand so later flags win
     for j, a in enumerate(argv):
         if not a.startswith("-"):
@@ -653,9 +664,9 @@ def _blame_config(parser, argv, config_flags):
 
 def main(argv=None):
     try:
-        argv, config_flags = _apply_config(
-            argv if argv is not None else sys.argv[1:])
         parser = build_parser()
+        argv, config_flags = _apply_config(
+            argv if argv is not None else sys.argv[1:], parser)
         try:
             args, extra = parser.parse_known_args(argv)
         except _UsageError:

@@ -23,6 +23,7 @@ import subprocess
 import time
 import zlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -58,172 +59,284 @@ def attention_indices(c: tm.Config):
     return (word or SENTINEL, sym + 1 if sym is not None else SENTINEL)
 
 
-def _token_feats(out, prefix, c, widx):
-    if widx is None or widx < 1 or widx > len(c.sentence):
-        out["%s.w=<none>" % prefix] = 1.0
-        return
-    tok = c.sentence.token(widx)
-    out["%s.w=%s" % (prefix, tok.surface.lower())] = 1.0
-    out["%s.l=%s" % (prefix, tok.lemma.lower())] = 1.0
-    out["%s.pos=%s" % (prefix, tok.pos)] = 1.0
-    out["%s.ner=%s" % (prefix, tok.ner)] = 1.0
+# distinct entries one SentenceFeatures keeps per vertex or phase table
+# before starting that table over.  A beam-10 decode of a benchmark
+# sentence sees 80-300 vertices and up to 300 features per phase; the
+# other tables grow with the sentence length only.
+FRAGMENT_MEMO_SIZE = 1 << 11
+
+_GEN_PHASES = (tm.POP, tm.GEN, tm.WORDGEN, tm.NAMEGEN, tm.LEMMAGEN, tm.TOKENGEN)
+
+# per phase, the (prefix, prefix) pairs of features that are conjoined
+_GEN_PAIRS = (("buf.pos=", "c1.sym="), ("buf.w=", "c1.sym="),
+              ("c1.narc=", "c1.sym="), ("c1.inlab=", "c1.sym="),
+              ("stack.topsym=", "c1.sym="), ("stack.top=", "c1.sym="),
+              ("c0.sym=", "c1.sym="), ("buf.w=", "buf+1.w="))
+_ARC_PAIRS = (("c0.sym=", "c1.sym="), ("stack.topsym=", "c1.sym="))
+_WORD_PAIRS = (("buf.pos=", "buf.w="), ("buf.pos=", "c1.sym="),
+               ("buf.w=", "buf+1.w="))
+_CONJ_PAIRS = {
+    tm.POP: _GEN_PAIRS, tm.GEN: _GEN_PAIRS,
+    tm.PUSH: (("pend.sym=", "c1.sym="), ("pend.sym=", "c0.sym="),
+              ("pend.pos=", "buf.pos="), ("pend.sym=", "buf.pos=")),
+    tm.ARC: _ARC_PAIRS, tm.PROMOTE: _ARC_PAIRS, tm.PROMOTEARC: _ARC_PAIRS,
+    tm.NAMEGEN: _WORD_PAIRS, tm.LEMMAGEN: _WORD_PAIRS,
+    tm.TOKENGEN: _WORD_PAIRS, tm.WORDGEN: _WORD_PAIRS,
+}
+
+_NO_SYMBOL = {p: {p + ".sym=": p + ".sym=<none>"} for p in ("c0", "c1", "pend")}
+_STACK_N = tuple("stack.n=%d" % i for i in range(9))
+# prefixes of the ULF-arc features: count, outgoing labels, incoming label
+_ARC_KEYS = {p: ("%s.narc=" % p, tuple("%s.alab%d=" % (p, i) for i in range(3)),
+                 "%s.inlab=" % p)
+             for p in ("c0", "c1")}
 
 
-def _symbol_feats(out, prefix, c, vid):
+class SentenceFeatures:
+    """Feature fragments of one sentence and its dependency tree.
+
+    A fragment is a dict {prefix: feature} of the features one part of a
+    configuration contributes, where the prefix is the feature up to its
+    first "=".  No configuration has two features with one prefix, so a
+    configuration's fragments merge into one such dict, and _conjoin
+    finds a prefix's feature there.
+
+    Token, dependent and lookahead fragments, the ancestor paths behind
+    dependency distances and each prefix's <none> fragment depend on the
+    sentence only and are built once, at most a few per word.  Symbol
+    fragments are kept per vertex object and phase-conjoined features per
+    phase, each table up to FRAGMENT_MEMO_SIZE entries before it starts
+    over.  A vertex entry holds its vertex, so its id is not reused while
+    the entry lives.  Fragments are shared: never change one.
+    """
+
+    def __init__(self, sentence, dep=None):
+        self.sentence = sentence
+        self.dep = dep
+        self.sent_n = "sent.n=%d" % min(len(sentence), 20)
+        self._tokens = {}     # (prefix, word index or None) -> fragment
+        self._deps = {}       # (prefix, word index or None) -> fragment
+        self._lookahead = {}  # buffer word index -> buf+1 and buf+2 fragment
+        self._paths = {}      # word index -> (ancestor path, {ancestor: position})
+        # id(vertex) -> (vertex, rendering, {prefix: fragment, "stack": feature})
+        self._verts = {}
+        self._phased = {}     # phase -> {feature: "phase=<phase>&feature"}
+        self._right = {}      # head word -> [(dependent index, label)]
+        for j, (h, lab) in enumerate(dep or (), 1):
+            self._right.setdefault(h, []).append((j, lab))
+
+    def token(self, prefix, widx):
+        if widx is not None and not 1 <= widx <= len(self.sentence):
+            widx = None
+        frag = self._tokens.get((prefix, widx))
+        if frag is None:
+            if widx is None:
+                frag = {prefix + ".w=": prefix + ".w=<none>"}
+            else:
+                tok = self.sentence.token(widx)
+                frag = {}
+                for name, value in (("w", tok.surface.lower()),
+                                    ("l", tok.lemma.lower()),
+                                    ("pos", tok.pos), ("ner", tok.ner)):
+                    key = "%s.%s=" % (prefix, name)
+                    frag[key] = "%s%s" % (key, value)
+            self._tokens[prefix, widx] = frag
+        return frag
+
+    def _vertex(self, v):
+        memo = self._verts
+        entry = memo.get(id(v))
+        if entry is None or entry[0] is not v:
+            if len(memo) >= FRAGMENT_MEMO_SIZE:
+                memo.clear()
+            entry = memo[id(v)] = (v, v.symbol.render(), {})
+        return entry
+
+    def symbol(self, prefix, v):
+        """The symbol and token fragment of vertex v (None: no vertex)."""
+        if v is None:
+            return _NO_SYMBOL[prefix]
+        _, text, frags = self._vertex(v)
+        frag = frags.get(prefix)
+        if frag is None:
+            key = prefix + ".sym="
+            frag = frags[prefix] = {key: key + text}
+            frag.update(self.token(prefix, v.alignment))
+        return frag
+
+    def stack_symbol(self, v):
+        if v is None:
+            return "stack.topsym=<nil>"
+        _, text, frags = self._vertex(v)
+        key = frags.get("stack")
+        if key is None:
+            key = frags["stack"] = "stack.topsym=" + text
+        return key
+
+    def dependents(self, prefix, widx):
+        """Count and first three labels of the rightward dependents."""
+        dep = self.dep
+        if dep is None or widx is None or not 1 <= widx <= len(dep):
+            widx = None
+        frag = self._deps.get((prefix, widx))
+        if frag is None:
+            if widx is None:
+                frag = {prefix + ".dep=": prefix + ".dep=<none>"}
+            else:
+                labels = [lab for j, lab in self._right.get(widx, ()) if j > widx]
+                key = prefix + ".ndep="
+                frag = {key: "%s%d" % (key, len(labels))}
+                for i, lab in enumerate(labels[:3]):
+                    key = "%s.dlab%d=" % (prefix, i)
+                    frag[key] = "%s%s" % (key, lab)
+            self._deps[prefix, widx] = frag
+        return frag
+
+    def _path(self, w):
+        """Ancestors of word w, itself first, up to the root or a cycle."""
+        found = self._paths.get(w)
+        if found is None:
+            dep, n = self.dep, len(self.dep)
+            path, seen = [w], {w}
+            while True:
+                h = dep[path[-1] - 1][0]
+                if h == 0 or h in seen or not (1 <= h <= n):
+                    break
+                path.append(h)
+                seen.add(h)
+            found = self._paths[w] = (path, {a: i for i, a in enumerate(path)})
+        return found
+
+    def dep_distance(self, w1, w2):
+        """Length of the tree path between words w1 and w2, or None."""
+        dep = self.dep
+        if dep is None or w1 is None or w2 is None:
+            return None
+        n = len(dep)
+        if not (1 <= w1 <= n and 1 <= w2 <= n):
+            return None
+        up1 = self._path(w1)[0]
+        at2 = self._path(w2)[1]
+        return min((i + at2[a] for i, a in enumerate(up1) if a in at2),
+                   default=None)
+
+    def lookahead(self, buf):
+        frag = self._lookahead.get(buf)
+        if frag is None:
+            frag = {}
+            n = len(self.sentence)
+            for ahead in (1, 2):
+                if buf + ahead <= n:
+                    tok = self.sentence.token(buf + ahead)
+                    frag["buf+%d.w=" % ahead] = "buf+%d.w=%s" % (ahead, tok.surface.lower())
+                    frag["buf+%d.pos=" % ahead] = "buf+%d.pos=%s" % (ahead, tok.pos)
+                else:
+                    frag["buf+%d.w=" % ahead] = "buf+%d.w=<none>" % ahead
+            self._lookahead[buf] = frag
+        return frag
+
+    def phased(self, phase, keys):
+        """"phase=<phase>&f" for each feature f of keys."""
+        table = self._phased.get(phase)
+        if table is None or len(table) > FRAGMENT_MEMO_SIZE:
+            table = self._phased[phase] = {}
+        try:
+            return [table[f] for f in keys]
+        except KeyError:
+            amp = "phase=%s&" % phase
+            for f in keys:
+                if f not in table:
+                    table[f] = amp + f
+            return [table[f] for f in keys]
+
+
+def _arc_feats(out, prefix, c, vid, n_out):
     if vid is None:
-        out["%s.sym=<none>" % prefix] = 1.0
         return
-    out["%s.sym=%s" % (prefix, c.verts[vid].symbol.render())] = 1.0
-    _token_feats(out, prefix, c, c.verts[vid].alignment)
-
-
-def _dep_children(dep, head_widx):
-    return [(j + 1, lab) for j, (h, lab) in enumerate(dep) if h == head_widx]
-
-
-def _dep_feats(out, prefix, dep, widx):
-    if dep is None or widx is None or widx < 1 or widx > len(dep):
-        out["%s.dep=<none>" % prefix] = 1.0
-        return
-    rightward = [(j, lab) for j, lab in _dep_children(dep, widx) if j > widx]
-    out["%s.ndep=%d" % (prefix, len(rightward))] = 1.0
-    for i, (_, lab) in enumerate(rightward[:3]):
-        out["%s.dlab%d=%s" % (prefix, i, lab)] = 1.0
-
-
-def _ulf_arc_feats(out, prefix, c, vid, n_out=3, n_in=1):
-    if vid is None:
-        return
+    narc, alab, inlab = _ARC_KEYS[prefix]
     outgoing = [lab for src, _, lab in c.edges if src == vid]
-    out["%s.narc=%d" % (prefix, len(outgoing))] = 1.0
-    for i, lab in enumerate(outgoing[:n_out]):
-        out["%s.alab%d=%s" % (prefix, i, lab)] = 1.0
-    if n_in:
-        incoming = [lab for _, dst, lab in c.edges if dst == vid]
-        if incoming:
-            out["%s.inlab=%s" % (prefix, incoming[0])] = 1.0
+    out[narc] = "%s%d" % (narc, len(outgoing))
+    for key, lab in zip(alab[:n_out], outgoing):
+        out[key] = "%s%s" % (key, lab)
+    for _, dst, lab in c.edges:
+        if dst == vid:
+            out[inlab] = "%s%s" % (inlab, lab)
+            break
 
 
-def _dep_distance(dep, w1, w2):
-    if dep is None or w1 is None or w2 is None:
-        return None
-    n = len(dep)
-    if not (1 <= w1 <= n and 1 <= w2 <= n):
-        return None
-
-    def ancestors(w):
-        path, seen = [w], {w}
-        while True:
-            h = dep[path[-1] - 1][0]
-            if h == 0 or h in seen or not (1 <= h <= n):
-                return path
-            path.append(h)
-            seen.add(h)
-
-    p1, p2 = ancestors(w1), ancestors(w2)
-    common = set(p1) & set(p2)
-    if not common:
-        return None
-    return min(p1.index(a) + p2.index(a) for a in common)
-
-
-def _pair_feats(out, c, dep, left_vid, right_vid):
-    _symbol_feats(out, "c0", c, left_vid)
-    _symbol_feats(out, "c1", c, right_vid)
-    if left_vid is not None and right_vid is not None:
-        out["dist.sym=%d" % abs(right_vid - left_vid)] = 1.0
-        w1 = c.verts[left_vid].alignment
-        w2 = c.verts[right_vid].alignment
+def _pair_feats(out, c, frags, left_vid, right_vid):
+    verts = c.verts
+    left = verts[left_vid] if left_vid is not None else None
+    right = verts[right_vid] if right_vid is not None else None
+    out.update(frags.symbol("c0", left))
+    out.update(frags.symbol("c1", right))
+    if left is not None and right is not None:
+        out["dist.sym="] = "dist.sym=%d" % abs(right_vid - left_vid)
+        w1, w2 = left.alignment, right.alignment
         if w1 and w2:
-            out["dist.word=%d" % abs(w2 - w1)] = 1.0
-        dd = _dep_distance(dep, w1, w2)
+            out["dist.word="] = "dist.word=%d" % abs(w2 - w1)
+        dd = frags.dep_distance(w1, w2)
         if dd is not None:
-            out["dist.dep=%d" % dd] = 1.0
-    for prefix, vid in (("c0", left_vid), ("c1", right_vid)):
-        widx = c.verts[vid].alignment if vid is not None else None
-        _dep_feats(out, prefix, dep, widx)
-        _ulf_arc_feats(out, prefix, c, vid, n_out=2, n_in=1)
+            out["dist.dep="] = "dist.dep=%d" % dd
+    for prefix, vid, v in (("c0", left_vid, left), ("c1", right_vid, right)):
+        out.update(frags.dependents(prefix, v.alignment if v is not None else None))
+        _arc_feats(out, prefix, c, vid, 2)
 
 
-def extract_features(c: tm.Config, dep=None) -> dict:
+def extract_features(c: tm.Config, dep=None, frags=None) -> dict:
     """Sparse transition-state features keyed by phase group, plus
     surrounding state the sequence model would otherwise carry: buffer
     lookahead tokens, stack depth and top slot, the previous action kind,
-    and sentence length, with a few conjunctions."""
-    out = {"phase=%s" % c.phase: 1.0}
+    and sentence length, with a few conjunctions.
+
+    frags, a SentenceFeatures of c's sentence and dep, carries fragments
+    from call to call; without it the call builds its own.  Either way
+    the features, and their order, are the same.
+    """
+    if frags is None or frags.sentence is not c.sentence or frags.dep is not dep:
+        frags = SentenceFeatures(c.sentence, dep)
+    phase = c.phase
+    cache, verts = c.cache, c.verts
     buf = c.cursor if not c.buffer_empty else None
-    if c.phase in (tm.POP, tm.GEN, tm.WORDGEN, tm.NAMEGEN, tm.LEMMAGEN, tm.TOKENGEN):
-        _symbol_feats(out, "c1", c, c.cache[1])
-        _symbol_feats(out, "c0", c, c.cache[0])
-        _token_feats(out, "buf", c, buf)
-        widx = c.verts[c.cache[1]].alignment if c.cache[1] is not None else None
-        _dep_feats(out, "c1", dep, widx)
-        _ulf_arc_feats(out, "c1", c, c.cache[1])
-    elif c.phase in (tm.ARC, tm.PROMOTE):
-        _pair_feats(out, c, dep, c.cache[0], c.cache[1])
-    elif c.phase == tm.PROMOTEARC:
-        _pair_feats(out, c, dep, c.cache[0], c.promoted)
-    elif c.phase == tm.PUSH:
-        _token_feats(out, "buf", c, buf)
-        _symbol_feats(out, "c0", c, c.cache[0])
-        _symbol_feats(out, "c1", c, c.cache[1])
-        _symbol_feats(out, "pend", c, c.pending)
-    _state_feats(out, c, buf)
-    _conjoin(out, c)
-    return out
-
-
-def _state_feats(out, c, buf):
-    n = len(c.sentence)
-    out["sent.n=%d" % min(n, 20)] = 1.0
-    out["stack.n=%d" % min(len(c.stack), 8)] = 1.0
+    out = {"phase=": "phase=" + phase}
+    if phase in _GEN_PHASES:
+        c1 = verts[cache[1]] if cache[1] is not None else None
+        out.update(frags.symbol("c1", c1))
+        out.update(frags.symbol("c0", verts[cache[0]] if cache[0] is not None else None))
+        out.update(frags.token("buf", buf))
+        out.update(frags.dependents("c1", c1.alignment if c1 is not None else None))
+        _arc_feats(out, "c1", c, cache[1], 3)
+    elif phase in (tm.ARC, tm.PROMOTE):
+        _pair_feats(out, c, frags, cache[0], cache[1])
+    elif phase == tm.PROMOTEARC:
+        _pair_feats(out, c, frags, cache[0], c.promoted)
+    elif phase == tm.PUSH:
+        out.update(frags.token("buf", buf))
+        for prefix, vid in (("c0", cache[0]), ("c1", cache[1]), ("pend", c.pending)):
+            out.update(frags.symbol(prefix, verts[vid] if vid is not None else None))
+    out["sent.n="] = frags.sent_n
+    out["stack.n="] = _STACK_N[min(len(c.stack), 8)]
     if c.stack:
         i, v = c.stack[-1]
-        out["stack.top=%d" % i] = 1.0
-        out["stack.topsym=%s" % (c.verts[v].symbol.render() if v is not None
-                                 else "<nil>")] = 1.0
+        out["stack.top="] = "stack.top=%d" % i
+        out["stack.topsym="] = frags.stack_symbol(verts[v] if v is not None else None)
     if c.last_action is not None:
-        out["last=%s" % tm.action_kind(c.last_action)] = 1.0
+        out["last="] = "last=" + tm.action_kind(c.last_action)
     if buf is not None:
-        for ahead in (1, 2):
-            if buf + ahead <= n:
-                tok = c.sentence.token(buf + ahead)
-                out["buf+%d.w=%s" % (ahead, tok.surface.lower())] = 1.0
-                out["buf+%d.pos=%s" % (ahead, tok.pos)] = 1.0
-            else:
-                out["buf+%d.w=<none>" % ahead] = 1.0
-        out["buf.merged=%d" % c.merged] = 1.0
+        out.update(frags.lookahead(buf))
+        out["buf.merged="] = "buf.merged=%d" % c.merged
+    return _conjoin(out, phase, frags)
 
 
-def _conjoin(out, c):
-    phase = "phase=%s" % c.phase
-    pairs = []
-    if c.phase in (tm.POP, tm.GEN):
-        pairs = [("buf.pos=", "c1.sym="), ("buf.w=", "c1.sym="),
-                 ("c1.narc=", "c1.sym="), ("c1.inlab=", "c1.sym="),
-                 ("stack.topsym=", "c1.sym="), ("stack.top=", "c1.sym="),
-                 ("c0.sym=", "c1.sym="), ("buf.w=", "buf+1.w=")]
-    elif c.phase == tm.PUSH:
-        pairs = [("pend.sym=", "c1.sym="), ("pend.sym=", "c0.sym="),
-                 ("pend.pos=", "buf.pos="), ("pend.sym=", "buf.pos=")]
-    elif c.phase in (tm.ARC, tm.PROMOTE, tm.PROMOTEARC):
-        pairs = [("c0.sym=", "c1.sym="), ("stack.topsym=", "c1.sym=")]
-    elif c.phase in (tm.NAMEGEN, tm.LEMMAGEN, tm.TOKENGEN, tm.WORDGEN):
-        pairs = [("buf.pos=", "buf.w="), ("buf.pos=", "c1.sym="),
-                 ("buf.w=", "buf+1.w=")]
-    # features by the prefix up to their first "=", the form of every
-    # prefix above: the same lists as scanning out for each prefix
-    by_prefix = {}
-    for f in out:
-        by_prefix.setdefault(f[:f.find("=") + 1], []).append(f)
-    conj = {}
-    for p1, p2 in pairs:
-        for f1 in by_prefix.get(p1, ()):
-            for f2 in by_prefix.get(p2, ()):
-                conj["%s&%s&%s" % (phase, f1, f2)] = 1.0
-    for f in out:
-        conj["%s&%s" % (phase, f)] = 1.0
-    out.update(conj)
+def _conjoin(out, phase, frags):
+    """The features of out, {prefix: feature}, then the conjunctions of
+    the phase's prefix pairs, then each feature conjoined with the phase,
+    all with value 1.0."""
+    keys = list(out.values())
+    head = out["phase="]
+    pairs = ["%s&%s&%s" % (head, out[p1], out[p2])
+             for p1, p2 in _CONJ_PAIRS.get(phase, ()) if p1 in out and p2 in out]
+    return dict.fromkeys(keys + pairs + frags.phased(phase, keys), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +354,10 @@ _NO_ROW = {}
 # bound still hits on 95-99% of lookups, as most go to features that
 # nearly every configuration shares.
 BUCKET_MEMO_SIZE = 1 << 14
+# score lists one PerceptronScorer memoizes before starting over, about
+# 2 kB each with the feature strings their keys hold; a benchmark parse
+# sentence makes 300-1,300 distinct calls at beam 10
+SCORE_MEMO_SIZE = 1 << 12
 
 
 @dataclass
@@ -266,23 +383,51 @@ class PerceptronModel:
     def __post_init__(self):
         self.action_ids = {a: i for i, a in enumerate(self.actions)}
         self._bucket_of = {}  # feature -> bucket, memoized crc32
+        self._dense_of = {}   # feature -> dense row of its bucket, or None
 
     def add_action(self, action):
         if action not in self.action_ids:
             self.action_ids[action] = len(self.actions)
             self.actions.append(action)
+            self._dense_of.clear()
 
     def buckets(self, features):
         memo = self._bucket_of
         if len(memo) > BUCKET_MEMO_SIZE:
             memo.clear()
-        out = []
-        for f, v in features.items():
-            b = memo.get(f)
-            if b is None:
-                b = memo[f] = _bucket(f, self.salt, self.dim)
-            out.append((b, v))
-        return out
+        try:
+            return [(memo[f], v) for f, v in features.items()]
+        except KeyError:
+            for f in features:
+                if f not in memo:
+                    memo[f] = _bucket(f, self.salt, self.dim)
+            return [(memo[f], v) for f, v in features.items()]
+
+    def dense_rows(self, features) -> list:
+        """The weight row of each feature's bucket, in feature order, as a
+        list over the action ids with 0.0 where the row has no weight;
+        buckets without a row are left out.  A feature's list is kept (up
+        to BUCKET_MEMO_SIZE features) until update, finalize or add_action
+        changes the weights or the actions."""
+        table = self._dense_of
+        try:
+            rows = [table[f] for f in features]
+        except KeyError:
+            if len(table) > BUCKET_MEMO_SIZE:
+                table.clear()
+            missing = [f for f in features if f not in table]
+            n = len(self.actions)
+            for f, (b, _) in zip(missing, self.buckets(dict.fromkeys(missing, 1.0))):
+                row = self.weights.get(b)
+                dense = None
+                if row:
+                    dense = [0.0] * n
+                    for ai, w in row.items():
+                        if 0 <= ai < n:  # other ids are never read
+                            dense[ai] = w
+                table[f] = dense
+            rows = [table[f] for f in features]
+        return list(filter(None, rows))
 
     def score_buckets(self, buckets, action):
         ai = self.action_ids.get(action)
@@ -300,15 +445,13 @@ class PerceptronModel:
         """
         rows = [(self.weights.get(b, _NO_ROW), v) for b, v in buckets]
         ids = self.action_ids
-        out = []
-        for a in actions:
-            ai = ids.get(a)
-            out.append(0.0 if ai is None
-                       else sum(row.get(ai, 0.0) * v for row, v in rows))
-        return out
+        return [0.0 if (ai := ids.get(a)) is None
+                else sum([row.get(ai, 0.0) * v for row, v in rows])
+                for a in actions]
 
     def update(self, features, gold_action, pred_action):
         self.updates += 1
+        self._dense_of.clear()
         t = self.updates
         for b, v in self.buckets(features):
             wrow = self.weights.setdefault(b, {})
@@ -319,24 +462,41 @@ class PerceptronModel:
                 trow[ai] = trow.get(ai, 0.0) + t * delta
 
     def finalize(self, steps):
-        """Average: w <- w - totals/steps."""
+        """Average: w <- w - totals/steps, then free the totals, which
+        nothing reads after averaging."""
         if self.averaged or steps <= 0:
             return
         for b, trow in self.totals.items():
             wrow = self.weights[b]
             for ai, tot in trow.items():
                 wrow[ai] = wrow[ai] - tot / steps
+        self.totals = {}
+        self._dense_of.clear()
         self.averaged = True
 
     def to_json(self) -> str:
-        return json.dumps({
+        """The model as json.dumps(..., sort_keys=True) writes it, with
+        weights {"bucket,action": w}, but without building that dict: the
+        weights are written row by row in the order of their keys.  A key
+        sorts by "bucket," first, since that part holds the key's only
+        comma, and then by the action index as a string."""
+        head = json.dumps({
             "format": "ulfparse-perceptron-v1",
             "dim": self.dim, "salt": self.salt, "averaged": self.averaged,
             "actions": self.actions,
             "vocab": self.vocab,
-            "weights": {"%d,%d" % (b, ai): w for b, row in self.weights.items()
-                        for ai, w in row.items()},
         }, sort_keys=True)
+        weights = self.weights
+        rows = []
+        for b in sorted(weights, key=lambda b: "%d," % b):
+            row = weights[b]
+            if row:
+                # json writes a finite number as its repr
+                number = repr if all(map(math.isfinite, row.values())) else json.dumps
+                rows.append(", ".join(['"%d,%d": %s' % (b, ai, number(row[ai]))
+                                       for ai in sorted(row, key=str)]))
+        # "weights" sorts after every other key, so it closes the object
+        return '%s, "weights": {%s}}' % (head[:-1], ", ".join(rows))
 
     @classmethod
     def from_json(cls, text) -> "PerceptronModel":
@@ -414,10 +574,11 @@ def train_perceptron(items, epochs=5, seed=0, machine=None, dim=1 << 18):
         rng.shuffle(order)
         for idx in order:
             sentence, dep, seq = items[idx]
+            frags = SentenceFeatures(sentence, dep)
             c = machine.init(sentence)
             for gold_action in seq:
                 step += 1
-                feats = extract_features(c, dep)
+                feats = extract_features(c, dep, frags)
                 legal = _concrete_candidates(machine, c)
                 if gold_action not in legal:
                     legal.append(gold_action)
@@ -464,12 +625,64 @@ class OracleScorer:
 
 
 class PerceptronScorer:
+    """Scores with a PerceptronModel: one score per legal action, the
+    same bits as PerceptronModel.score_buckets gives it.
+
+    Beam items with different histories often reach configurations with
+    the same features and the same menu (42% of the calls of a benchmark
+    parse pass repeat one), so scores are memoized per (features, legal),
+    up to SCORE_MEMO_SIZE entries before the memo starts over.  It starts
+    over whenever the model was updated, averaged or given an action
+    since the last call, since its weights change only then, and with
+    each new sentence, since repeats seldom cross sentences.
+
+    When every feature has value 1.0, a term is the weight itself, and
+    the model's dense rows (PerceptronModel.dense_rows), transposed, give
+    each legal action its terms in feature order, with 0.0 where a row
+    has no weight for it and without the buckets that have no row.  The
+    sum is the same to the bit: it starts at +0.0, can never become
+    -0.0, and adding 0.0 to any other value returns that value.
+    """
+
     def __init__(self, model: PerceptronModel):
         self.model = model
+        self._memo = {}      # (features, values, legal) -> scores
+        self._version = None  # (updates, averaged, actions) of the memo
+        self._sentence = None
 
     def score(self, c, features, legal):
-        buckets = self.model.buckets(features)
-        return dict(zip(legal, self.model.score_actions(buckets, legal)))
+        model = self.model
+        memo = self._memo
+        version = (model.updates, model.averaged, len(model.actions))
+        if version != self._version or c.sentence is not self._sentence \
+                or len(memo) >= SCORE_MEMO_SIZE:
+            memo.clear()
+            self._version, self._sentence = version, c.sentence
+        values = tuple(features.values())
+        key = (tuple(features), values, tuple(legal))
+        scores = memo.get(key)
+        if scores is None:
+            if values.count(1.0) == len(values):
+                scores = self._unit_scores(features, legal)
+            else:
+                scores = model.score_actions(model.buckets(features), legal)
+            memo[key] = scores
+        return dict(zip(legal, scores))
+
+    def _unit_scores(self, features, legal):
+        rows = self.model.dense_rows(features)
+        ids = self.model.action_ids
+        known = [ai for ai in map(ids.get, legal) if ai is not None]
+        if not rows or not known:
+            sums = [0.0] * len(known)
+        elif len(known) == 1:
+            sums = [sum(map(itemgetter(known[0]), rows), 0.0)]
+        else:
+            sums = [sum(col, 0.0) for col in zip(*map(itemgetter(*known), rows))]
+        if len(known) == len(legal):
+            return sums
+        sums = iter(sums)
+        return [next(sums) if a in ids else 0.0 for a in legal]
 
 
 class RandomScorer:
@@ -605,10 +818,16 @@ def _log_softmax(scores: dict) -> dict:
     """
     if not scores:
         return scores
-    vals = np.array(list(scores.values()), dtype=float)
-    vals -= vals.max()
-    logz = np.log(np.exp(vals).sum())
-    return {a: float(v - logz) for a, v in zip(scores.keys(), vals)}
+    if len(scores) == 1:
+        # what numpy gives for one finite score: (v - v) - log(exp(0.0))
+        (a, v), = scores.items()
+        if math.isfinite(v):
+            return {a: 0.0}
+    # the ufuncs that vals.max() and .sum() call, without their wrappers
+    vals = np.fromiter(scores.values(), float, len(scores))
+    vals -= np.maximum.reduce(vals)
+    logz = np.log(np.add.reduce(np.exp(vals)))
+    return dict(zip(scores, (vals - logz).tolist()))
 
 
 def _vertex_types(item, grammar):
@@ -617,6 +836,10 @@ def _vertex_types(item, grammar):
     if len(types) < len(verts):
         types += tuple(type_of(v.symbol, grammar) for v in verts[len(types):])
     return types
+
+
+_SUFFIX_PHASES = (tm.NAMEGEN, tm.LEMMAGEN, tm.TOKENGEN)
+_ARC_PHASES = (tm.ARC, tm.PROMOTEARC)  # the only phases offering arc actions
 
 
 def _type_filtered(c, types, action):
@@ -639,9 +862,12 @@ def _type_filtered(c, types, action):
 
 def _lexicon_filtered(machine, c, actions, lexicon):
     """Restrict SUFFIX candidates by the lexicon entry for the word stem;
-    an empty intersection falls back to the unconstrained set."""
+    an empty intersection falls back to the unconstrained set.  Only the
+    symbol phases offer SUFFIX actions."""
+    if lexicon is None or c.phase not in _SUFFIX_PHASES:
+        return actions
     suffix_actions = [a for a in actions if tm.action_kind(a) == "SUFFIX"]
-    if not suffix_actions or lexicon is None:
+    if not suffix_actions:
         return actions
     word = c.front_tokens()[0]
     candidates = {a: machine.make_symbol(c, a.split(":", 1)[1]).render()
@@ -676,6 +902,7 @@ def beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
     tie; nothing found later could outrank the best finished item.
     """
     cap = cap if cap is not None else machine.step_cap
+    frags = SentenceFeatures(sentence, dep)
     beam = [BeamItem(machine.init(sentence))]
     best = None  # best finished item
     while beam:
@@ -697,12 +924,13 @@ def beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
             c = item.config
             legal = _concrete_candidates(machine, c)  # in canonical order
             legal = _lexicon_filtered(machine, c, legal, lexicon)
-            feats = extract_features(c, dep)
+            feats = extract_features(c, dep, frags)
             scores = _log_softmax(scorer.score(c, feats, legal))
             types = _vertex_types(item, grammar) if grammar is not None else item.types
+            vetoing = grammar is not None and c.phase in _ARC_PHASES
             for ai, action in enumerate(legal):
                 new_types = types
-                if grammar is not None:
+                if vetoing:
                     new_types = _type_filtered(c, types, action)
                     if new_types is None:
                         continue  # vetoed: not added to the search beam
@@ -711,7 +939,9 @@ def beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
                                    new_types))
         if not candidates:
             break
-        top = heapq.nsmallest(beam_size, candidates, key=lambda t: t[:3])
+        # (-score, rank, ai) differs between any two candidates, so the
+        # tuples compare by those three alone
+        top = heapq.nsmallest(beam_size, candidates)
         beam = [BeamItem(machine.apply(item.config, action), score,
                          item.history + (action,), types, item.rank + (ai,))
                 for _, _, ai, score, item, action, types in top]

@@ -33,7 +33,7 @@ bare operator from the word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -136,6 +136,20 @@ def _menu(fmt, vocab):
 
 def _set_parent(parents, vid, parent):
     return parents[:vid] + (parent,) + parents[vid + 1:]
+
+
+def _next(c, action, **changes):
+    """c after action: its fields with changes, action as last_action and
+    one more step.  Built by copying c's field dict, not through
+    dataclasses.replace, which would run the frozen __init__'s
+    object.__setattr__ once per field."""
+    nxt = object.__new__(type(c))
+    fields = nxt.__dict__
+    fields.update(c.__dict__)
+    fields.update(changes)
+    fields["last_action"] = action
+    fields["steps"] = c.steps + 1
+    return nxt
 
 
 @dataclass(frozen=True)
@@ -343,84 +357,75 @@ class Machine:
     def apply(self, c: Config, action: str) -> Config:
         if not self.is_legal(c, action):
             raise IllegalAction("action %r illegal in phase %s" % (action, c.phase))
-        kind = action_kind(action)
-        nxt = dict(last_action=action, steps=c.steps + 1)
+        kind, _, arg = action.partition(":")
 
         if kind == "WORDGEN":
-            return replace(c, phase=WORDGEN, **nxt)
+            return _next(c, action, phase=WORDGEN)
         if kind == "NAME":
-            return replace(c, phase=NAMEGEN, **nxt)
+            return _next(c, action, phase=NAMEGEN)
         if kind == "LEMMA":
-            return replace(c, phase=LEMMAGEN, **nxt)
+            return _next(c, action, phase=LEMMAGEN)
         if kind == "TOKEN":
-            return replace(c, phase=TOKENGEN, **nxt)
+            return _next(c, action, phase=TOKENGEN)
 
         if kind == "SUFFIX":
-            ext = action.split(":", 1)[1]
-            atom = self.make_symbol(c, ext)
+            atom = self.make_symbol(c, arg)
             verts = c.verts + (Vertex(atom, c.cursor),)
-            return replace(
-                c, verts=verts, parents=c.parents + (None,), pending=len(verts) - 1,
-                cursor=c.cursor + c.merged, merged=1, phase=PUSH, **nxt)
+            return _next(c, action, verts=verts, parents=c.parents + (None,),
+                         pending=len(verts) - 1, cursor=c.cursor + c.merged,
+                         merged=1, phase=PUSH)
 
         if kind == "SYMGEN":
-            atom = parse_atom(action.split(":", 1)[1])
-            verts = c.verts + (Vertex(atom, None),)
-            return replace(c, verts=verts, parents=c.parents + (None,),
-                           pending=len(verts) - 1, phase=PUSH, **nxt)
+            verts = c.verts + (Vertex(parse_atom(arg), None),)
+            return _next(c, action, verts=verts, parents=c.parents + (None,),
+                         pending=len(verts) - 1, phase=PUSH)
 
         if kind == "SKIP":
-            return replace(c, cursor=c.cursor + 1, merged=1, phase=GEN, **nxt)
+            return _next(c, action, cursor=c.cursor + 1, merged=1, phase=GEN)
 
         if kind == "MERGEBUF":
-            return replace(c, merged=c.merged + 1, phase=GEN, **nxt)
+            return _next(c, action, merged=c.merged + 1, phase=GEN)
 
         if kind == "PUSHIDX":
-            i = int(action.split(":", 1)[1])
+            i = int(arg)
             stack = c.stack + ((i, c.cache[i]),)
             cache = (c.pending, c.cache[1]) if i == 0 else (c.cache[0], c.pending)
-            return replace(c, stack=stack, cache=cache, pending=None, phase=ARC, **nxt)
+            return _next(c, action, stack=stack, cache=cache, pending=None, phase=ARC)
 
         if kind == "ARC":
             _, direction, label = parse_arc_action(action)
             l, r = c.cache
             src, dst = (r, l) if direction == "left" else (l, r)
-            return replace(c, edges=c.edges + ((src, dst, label),),
-                           parents=_set_parent(c.parents, dst, src),
-                           phase=PROMOTE, **nxt)
+            return _next(c, action, edges=c.edges + ((src, dst, label),),
+                         parents=_set_parent(c.parents, dst, src), phase=PROMOTE)
 
         if kind == "NOARC":
-            return replace(c, phase=PROMOTE, **nxt)
+            return _next(c, action, phase=PROMOTE)
 
         if kind == "PROMOTE_SYM":
-            atom = parse_atom(action.split(":", 1)[1])
-            verts = c.verts + (Vertex(atom, None),)
-            return replace(c, verts=verts, parents=c.parents + (None,),
-                           promoted=len(verts) - 1, phase=PROMOTEARC, **nxt)
+            verts = c.verts + (Vertex(parse_atom(arg), None),)
+            return _next(c, action, verts=verts, parents=c.parents + (None,),
+                         promoted=len(verts) - 1, phase=PROMOTEARC)
 
         if kind == "PROMOTE_ARC":
-            label = action.split(":", 1)[1]
             r = c.cache[1]
-            edges = c.edges + ((c.promoted, r, label),)
+            edges = c.edges + ((c.promoted, r, arg),)
             cache = (c.cache[0], c.promoted)  # old rightmost retires
-            return replace(c, edges=edges, parents=_set_parent(c.parents, r, c.promoted),
-                           cache=cache, promoted=None, phase=ARC, **nxt)
+            return _next(c, action, edges=edges,
+                         parents=_set_parent(c.parents, r, c.promoted),
+                         cache=cache, promoted=None, phase=ARC)
 
         if kind == "NOPROMOTE":
-            return replace(c, phase=POP, **nxt)
+            return _next(c, action, phase=POP)
 
         if kind == "POP":
             i, v = c.stack[-1]
-            stack = c.stack[:-1]
             # rightmost retires, restored entry lands at its slot, shifting right
-            if i == 0:
-                cache = (v, c.cache[0])
-            else:
-                cache = (c.cache[0], v)
-            return replace(c, stack=stack, cache=cache, phase=ARC, **nxt)
+            cache = (v, c.cache[0]) if i == 0 else (c.cache[0], v)
+            return _next(c, action, stack=c.stack[:-1], cache=cache, phase=ARC)
 
         if kind == "NOPOP":
-            return replace(c, phase=GEN, **nxt)
+            return _next(c, action, phase=GEN)
 
         raise IllegalAction("unknown action %r" % action)
 

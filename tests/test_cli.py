@@ -283,7 +283,29 @@ def test_config_file_defaults_with_flag_override(tmp_path, tiny_file, monkeypatc
     assert parsed.exists()
 
 
-@pytest.mark.parametrize("case", ["unknown_replay_id", "config_without_file",
+def test_config_list_option_takes_every_item(tmp_path, tiny_file):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("promote-syms = pres plur\ncap = 500\n")
+
+    def parsed(argv):
+        parser = cli.build_parser()
+        args, extra = parser.parse_known_args(cli._apply_config(argv, parser)[0])
+        assert extra == []
+        return args
+
+    # the items do not run together, and the positional stays the corpus
+    args = parsed(["stats", tiny_file, "--config", str(cfg)])
+    assert args.promote_syms == ["pres", "plur"]
+    assert args.corpus == tiny_file and args.cap == 500
+    args = parsed(["stats", "--config", str(cfg), tiny_file])
+    assert args.promote_syms == ["pres", "plur"] and args.corpus == tiny_file
+    # the command line still overrides the file
+    args = parsed(["stats", tiny_file, "--config", str(cfg), "--promote-syms", "k"])
+    assert args.promote_syms == ["k"]
+    assert run(["stats", tiny_file, "--oracle", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("case",["unknown_replay_id", "config_without_file",
                                   "missing_corpus", "missing_config",
                                   "missing_candidate", "oracle_without_gold",
                                   "config_line_without_equals",

@@ -1,6 +1,7 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -137,8 +138,19 @@ def test_train_empty_corpus_rejected():
         dec.train_perceptron([], epochs=1, seed=0)
 
 
-def test_one_pass_scores_equal_per_action_sums(trained, corpus_items):
+def _assert_per_action_sums(model, scorer, c, feats, legal):
     # bit for bit, -0.0 included: parse files print the score
+    got = scorer.score(c, feats, legal)
+    buckets = model.buckets(feats)
+    assert [repr(got[a]) for a in legal] == \
+        [repr(model.score_buckets(buckets, a)) for a in legal]
+    assert [repr(s) for s in model.score_actions(buckets, legal)] == \
+        [repr(model.score_buckets(buckets, a)) for a in legal]
+
+
+def test_one_pass_scores_equal_per_action_sums(trained, corpus_items):
+    # each configuration is scored from the dense rows, again from the
+    # memo, and with one feature value other than 1.0 from the sparse rows
     trained_model, machine = trained
     untrained = dec.PerceptronModel(actions=list(trained_model.actions))
     for model in (trained_model, untrained):
@@ -148,11 +160,29 @@ def test_one_pass_scores_equal_per_action_sums(trained, corpus_items):
             for gold in actions:
                 feats = dec.extract_features(c, rec.deps)
                 legal = dec._concrete_candidates(machine, c) + ["NO-SUCH-ACTION"]
-                got = scorer.score(c, feats, legal)
-                buckets = model.buckets(feats)
-                assert [repr(got[a]) for a in legal] == \
-                    [repr(model.score_buckets(buckets, a)) for a in legal]
+                _assert_per_action_sums(model, scorer, c, feats, legal)
+                memoized = len(scorer._memo)
+                _assert_per_action_sums(model, scorer, c, feats, legal)
+                assert len(scorer._memo) == memoized
+                scaled = dict(feats)
+                scaled[next(iter(feats))] = -0.5
+                _assert_per_action_sums(model, scorer, c, scaled, legal)
                 c = machine.apply(c, gold)
+    # an update reaches a memoized score, also through a feature that had
+    # no row before it
+    model = dec.PerceptronModel.from_json(trained_model.to_json())
+    scorer = dec.PerceptronScorer(model)
+    rec, actions = corpus_items[0]
+    c = machine.apply(machine.init(rec.sentence), actions[0])
+    feats = dict(dec.extract_features(c, rec.deps), **{"unseen=feature": 1.0})
+    legal = dec._concrete_candidates(machine, c)
+    before = scorer.score(c, feats, legal)
+    model.add_action(legal[-1])
+    model.update(feats, legal[0], legal[-1])
+    after = scorer.score(c, feats, legal)
+    _assert_per_action_sums(model, scorer, c, feats, legal)
+    assert after[legal[0]] > before[legal[0]]
+    assert after[legal[-1]] < before[legal[-1]]
 
 
 def test_bucket_memo_stays_bounded_and_exact(corpus_items, monkeypatch):
@@ -177,6 +207,32 @@ def test_model_json_roundtrip(trained):
     assert clone.actions == model.actions
     with pytest.raises(ValueError):
         dec.PerceptronModel.from_json(json.dumps({"format": "other"}))
+
+
+def _dumped_weight_dict(model):
+    # the model file as first written: one dict of every weight, dumped
+    return json.dumps({
+        "format": "ulfparse-perceptron-v1",
+        "dim": model.dim, "salt": model.salt, "averaged": model.averaged,
+        "actions": model.actions, "vocab": model.vocab,
+        "weights": {"%d,%d" % (b, ai): w for b, row in model.weights.items()
+                    for ai, w in row.items()},
+    }, sort_keys=True)
+
+
+def test_model_json_equals_dump_of_weight_dict(trained):
+    model, _ = trained
+    assert model.totals == {}  # freed by finalize
+    assert model.to_json() == _dumped_weight_dict(model)
+    # bucket and action orders where string and numeric order differ,
+    # an empty row, -0.0, an int, tiny, huge and non-finite weights
+    odd = dec.PerceptronModel(actions=["A"] * 12, vocab={"k": [1]})
+    odd.weights = {5: {10: -0.0, 2: 3, 0: 1e-300}, 50: {1: 0.1}, 500: {},
+                   6: {11: 1.5e300, 1: -2.5}, 12: {0: 7.0},
+                   7: {0: float("inf"), 1: float("-inf"), 2: float("nan")}}
+    assert odd.to_json() == _dumped_weight_dict(odd)
+    empty = dec.PerceptronModel(actions=[])
+    assert empty.to_json() == _dumped_weight_dict(empty)
 
 
 # -- scorers -------------------------------------------------------------------
@@ -352,6 +408,23 @@ def test_type_constraint_vetoes_bad_arcs(trained, corpus_items):
                 assert ok, "vetoed arc survived: %s" % a
                 types[src] = t2
             c = c2
+
+
+SCORES = st.one_of(st.floats(-1e6, 1e6), st.integers(-3, 3).map(float),
+                   st.sampled_from([0.0, -0.0, 1e-300, -1e-300]))
+
+
+@given(st.lists(SCORES, min_size=1, max_size=30))
+def test_log_softmax_equals_numpy_formula(values):
+    # every bit of the normalization as first written
+    scores = {"a%d" % i: v for i, v in enumerate(values)}
+    vals = np.array(list(scores.values()), dtype=float)
+    vals -= vals.max()
+    logz = np.log(np.exp(vals).sum())
+    want = {a: float(v - logz) for a, v in zip(scores.keys(), vals)}
+    got = dec._log_softmax(scores)
+    assert list(got) == list(want)
+    assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]
 
 
 def test_oracle_equals_gold_with_constraints_off(trained, corpus_items):
