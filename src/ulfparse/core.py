@@ -139,14 +139,6 @@ def parse_atom(text: str) -> Atom:
     return Atom(text, OPERATOR)
 
 
-def make_atom(stem: str, tag: str = "", name: bool = False) -> Atom:
-    if name:
-        return Atom(stem, NAME, tag)
-    if tag:
-        return Atom(stem, SUFFIXED, tag)
-    return Atom(stem, OPERATOR)
-
-
 # ---------------------------------------------------------------------------
 # S-expression trees
 

@@ -30,33 +30,11 @@ import numpy as np
 from . import machine as tm
 from .typesys import check_arc, lexicon_filter, type_of
 
-SENTINEL = 0
 EXTERNAL_TIMEOUT = 5.0
 
 
 # ---------------------------------------------------------------------------
-# Hard attention and transition-state features
-
-
-def attention_indices(c: tm.Config):
-    """(word index, symbol index) most relevant to the next decision.
-
-    Symbol indices are 1-based over the generation order; 0 is the
-    missing-value sentinel for both.
-    """
-    if c.phase in (tm.ARC, tm.PROMOTE):
-        sym = c.cache[1]
-    elif c.phase == tm.PROMOTEARC:
-        sym = c.promoted
-    elif c.phase == tm.PUSH:
-        sym = c.pending
-    else:
-        sym = len(c.verts) - 1 if c.verts else None
-    if c.phase in (tm.ARC, tm.PROMOTE, tm.PROMOTEARC, tm.PUSH):
-        word = c.verts[sym].alignment if sym is not None else None
-    else:
-        word = c.cursor if not c.buffer_empty else None
-    return (word or SENTINEL, sym + 1 if sym is not None else SENTINEL)
+# Transition-state features
 
 
 # distinct entries one SentenceFeatures keeps per vertex or phase table
@@ -258,10 +236,11 @@ def _arc_feats(out, prefix, c, vid, n_out):
     out[narc] = "%s%d" % (narc, len(outgoing))
     for key, lab in zip(alab[:n_out], outgoing):
         out[key] = "%s%s" % (key, lab)
-    for _, dst, lab in c.edges:
-        if dst == vid:
-            out[inlab] = "%s%s" % (inlab, lab)
-            break
+    if c.parents[vid] is not None:  # only ARC and PROMOTE_ARC add edges
+        for _, dst, lab in c.edges:
+            if dst == vid:
+                out[inlab] = "%s%s" % (inlab, lab)
+                break
 
 
 def _pair_feats(out, c, frags, left_vid, right_vid):

@@ -124,14 +124,24 @@ def parse_action_file(text: str):
     return records
 
 
-def _vocab_set(vocab):
-    return frozenset(vocab) if vocab is not None else None
-
-
-def _menu(fmt, vocab):
+def _menu(prefix, vocab):
+    """One kind's menu record: (its actions in canonical order, the prefix
+    they share, the allowed parameters).  An open vocabulary (None) lists
+    the "*" marker and allows any parameter."""
     if vocab is None:
-        return [fmt % "*"]
-    return sorted(fmt % v for v in vocab)
+        return ((prefix + "*",), prefix, None)
+    return (tuple(sorted(prefix + v for v in vocab)), prefix, frozenset(vocab))
+
+
+# the bare (parameterless) actions a phase can offer, in canonical order
+_MERGE_SKIP_WORDGEN = ("MERGEBUF", "SKIP", "WORDGEN")
+_SKIP_WORDGEN = ("SKIP", "WORDGEN")
+_PUSHES = ("PUSHIDX:0", "PUSHIDX:1")
+_NOARC = ("NOARC",)
+_NOPROMOTE = ("NOPROMOTE",)
+_POP_NOPOP = ("POP", "NOPOP")
+_NOPOP = ("NOPOP",)
+_NOTHING = ((), ())
 
 
 def _set_parent(parents, vid, parent):
@@ -174,10 +184,6 @@ class Config:
     def buffer_empty(self) -> bool:
         return self.cursor > len(self.sentence)
 
-    @property
-    def words_left(self) -> int:
-        return max(0, len(self.sentence) - self.cursor + 1)
-
     def front_tokens(self):
         """The merged word group at the front of the buffer."""
         return [self.sentence.token(self.cursor + k) for k in range(self.merged)]
@@ -211,25 +217,19 @@ class Machine:
         self.symgen_vocab = list(symgen_vocab) if symgen_vocab is not None else None
         self.promote_syms = list(promote_syms) if promote_syms is not None else None
         self.step_cap = step_cap
-        # derived once: the vocabularies are fixed after construction
-        self._params = {
-            "SYMGEN": _vocab_set(self.symgen_vocab),
-            "SUFFIX": _vocab_set(self.suffixes),
-            "PROMOTE_SYM": _vocab_set(self.promote_syms),
-            "PROMOTE_ARC": _vocab_set(self.arc_labels),
-            "ARC": _vocab_set(self.arc_labels),
-        }
-        labels = self.arc_labels if self.arc_labels is not None else []
-        # per-kind menus in canonical order; "*" marks an open vocabulary
-        self._menus = {
-            "SYMGEN": _menu("SYMGEN:%s", self.symgen_vocab),
-            "SUFFIX": _menu("SUFFIX:%s", self.suffixes),
-            "PROMOTE_SYM": _menu("PROMOTE_SYM:%s", self.promote_syms),
-            "PROMOTE_ARC": _menu("PROMOTE_ARC:%s", self.arc_labels),
-            "left": sorted(arc_action(0, "left", lab) for lab in labels)
-                    + (["ARC:0:left:*"] if self.arc_labels is None else []),
-            "right": sorted(arc_action(0, "right", lab) for lab in labels)
-                     + (["ARC:0:right:*"] if self.arc_labels is None else []),
+        # the per-kind menu records; the vocabularies are fixed from here on
+        self._symgen = (_menu("SYMGEN:", self.symgen_vocab),)
+        self._promote_sym = (_menu("PROMOTE_SYM:", self.promote_syms),)
+        self._left = _menu(arc_action(0, "left", ""), self.arc_labels)
+        self._right = _menu(arc_action(0, "right", ""), self.arc_labels)
+        # (menus, bare actions) of the phases whose offer is constant
+        suffix = ((_menu("SUFFIX:", self.suffixes),), ())
+        self._fixed = {
+            WORDGEN: ((), ("NAME", "LEMMA", "TOKEN")),
+            NAMEGEN: suffix,
+            LEMMAGEN: suffix,
+            TOKENGEN: suffix,
+            PROMOTEARC: ((_menu("PROMOTE_ARC:", self.arc_labels),), ()),
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -253,44 +253,52 @@ class Machine:
 
     # -- legality ----------------------------------------------------------
 
-    def legal_actions(self, c: Config) -> list[str]:
-        """All actions permitted in c, in canonical order (action_sort_key)."""
-        menus = self._menus
+    def _offer(self, c: Config):
+        """(menus, bare): the menu records and the bare actions legal in c,
+        each in canonical order (action_sort_key), menus first."""
         phase = c.phase
-        if phase == GEN:
-            out = list(menus["SYMGEN"])
-            if c.cursor + c.merged <= len(c.sentence):
-                out.append("MERGEBUF")
-            if not c.buffer_empty:
-                out += ["SKIP", "WORDGEN"]
-            return out
-        if phase == WORDGEN:
-            return ["NAME", "LEMMA", "TOKEN"]
-        if phase in (NAMEGEN, LEMMAGEN, TOKENGEN):
-            return list(menus["SUFFIX"])
-        if phase == PUSH:
-            return ["PUSHIDX:0", "PUSHIDX:1"] if c.pending is not None else []
         if phase == ARC:
-            out = []
             l, r = c.cache
-            if l is not None and r is not None:
-                if self._arc_ok(c, r, l):
-                    out += menus["left"]
-                if self._arc_ok(c, l, r):
-                    out += menus["right"]
-            out.append("NOARC")
-            return out
+            if l is None or r is None:
+                return (), _NOARC
+            menus = (self._left,) if self._arc_ok(c, r, l) else ()
+            if self._arc_ok(c, l, r):
+                menus += (self._right,)
+            return menus, _NOARC
         if phase == PROMOTE:
             r = c.cache[1]
-            out = list(menus["PROMOTE_SYM"]) \
-                if r is not None and c.parents[r] is None else []
-            out.append("NOPROMOTE")
-            return out
-        if phase == PROMOTEARC:
-            return list(menus["PROMOTE_ARC"])
+            if r is not None and c.parents[r] is None:
+                return self._promote_sym, _NOPROMOTE
+            return (), _NOPROMOTE
         if phase == POP:
-            return ["POP", "NOPOP"] if c.stack else ["NOPOP"]
-        return []
+            return (), (_POP_NOPOP if c.stack else _NOPOP)
+        if phase == PUSH:
+            return (), (_PUSHES if c.pending is not None else ())
+        if phase == GEN:
+            if c.cursor + c.merged <= len(c.sentence):
+                return self._symgen, _MERGE_SKIP_WORDGEN
+            return self._symgen, (() if c.buffer_empty else _SKIP_WORDGEN)
+        return self._fixed.get(phase, _NOTHING)
+
+    def legal_actions(self, c: Config) -> list[str]:
+        """All actions permitted in c, in canonical order (action_sort_key)."""
+        menus, bare = self._offer(c)
+        out = []
+        for menu in menus:
+            out += menu[0]
+        out += bare
+        return out
+
+    def is_legal(self, c: Config, action: str) -> bool:
+        """Whether action is one of legal_actions(c), where an open
+        vocabulary's "*" marker admits any concrete parameter."""
+        menus, bare = self._offer(c)
+        if action in bare:
+            return True
+        for _, prefix, params in menus:
+            if action.startswith(prefix):
+                return params is None or action[len(prefix):] in params
+        return False
 
     def _arc_ok(self, c: Config, src: int, dst: int) -> bool:
         # keep the partial graph a forest: one parent per vertex, and no
@@ -304,53 +312,6 @@ class Machine:
                 return False
             v = parents[v]
         return True
-
-    def _param_ok(self, kind: str, arg: str) -> bool:
-        vocab = self._params[kind]
-        return vocab is None or arg in vocab
-
-    def is_legal(self, c: Config, action: str) -> bool:
-        """Whether action is one of legal_actions(c), where an open
-        vocabulary's "*" marker admits any concrete parameter."""
-        kind, colon, arg = action.partition(":")
-        phase = c.phase
-        if phase == GEN:
-            if kind == "SYMGEN":
-                return bool(colon) and self._param_ok(kind, arg)
-            if action == "MERGEBUF":
-                return c.cursor + c.merged <= len(c.sentence)
-            return action in ("SKIP", "WORDGEN") and not c.buffer_empty
-        if phase == WORDGEN:
-            return action in ("NAME", "LEMMA", "TOKEN")
-        if phase in (NAMEGEN, LEMMAGEN, TOKENGEN):
-            return kind == "SUFFIX" and bool(colon) and self._param_ok(kind, arg)
-        if phase == PUSH:
-            return c.pending is not None and action in ("PUSHIDX:0", "PUSHIDX:1")
-        if phase == ARC:
-            if action == "NOARC":
-                return True
-            parts = action.split(":", 3)
-            if kind != "ARC" or len(parts) != 4 or parts[1] != "0" \
-                    or not self._param_ok(kind, parts[3]):
-                return False
-            l, r = c.cache
-            if l is None or r is None:
-                return False
-            if parts[2] == "left":
-                return self._arc_ok(c, r, l)
-            return parts[2] == "right" and self._arc_ok(c, l, r)
-        if phase == PROMOTE:
-            if action == "NOPROMOTE":
-                return True
-            r = c.cache[1]
-            return (kind == "PROMOTE_SYM" and bool(colon)
-                    and self._param_ok(kind, arg)
-                    and r is not None and c.parents[r] is None)
-        if phase == PROMOTEARC:
-            return kind == "PROMOTE_ARC" and bool(colon) and self._param_ok(kind, arg)
-        if phase == POP:
-            return action == "NOPOP" or (action == "POP" and bool(c.stack))
-        return False
 
     # -- application -------------------------------------------------------
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulfparse import cli
+from ulfparse import machine as tm
 from ulfparse.cli import (
     CorpusError,
     ingest,
@@ -150,7 +154,7 @@ def test_align_command(tmp_path, tiny_file):
 
 def test_oracle_verify_roundtrip(tmp_path, mini_file, capsys):
     out = tmp_path / "actions.txt"
-    code = run(["oracle", mini_file, "--verify", "-o", str(out)])
+    code = run(["oracle", mini_file, "-o", str(out)])
     captured = capsys.readouterr()
     assert code == 0
     assert "round-trip 100%" in captured.out
@@ -362,6 +366,87 @@ def test_malformed_input_ends_in_one_error_line(tmp_path, tiny_file, capsys, cas
     assert named in err[0]
 
 
+# -- replay fuzzing -------------------------------------------------------------
+
+FUZZ_IDS = ("mc-001", "mc-002", "mc-003")
+FUZZ_KINDS = ("PUSHIDX", "ARC", "SUFFIX", "SYMGEN", "MERGEBUF", "PROMOTE_SYM",
+              "PROMOTE_ARC", "NOARC", "NOPROMOTE", "POP", "NOPOP", "SKIP",
+              "WORDGEN", "NAME", "LEMMA", "TOKEN", "", "arc", "GEN", "#")
+FUZZ_PARAMS = ("0", "1", "2", "left", "right", ":ARG0", "", "*", "x.pro",
+               "|x", "|A B|", "(", ".", "-1", "pres")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A three-record corpus, and the gold action sequence of each record."""
+    from ulfparse.oracle import extract_with_alignment
+    recs = [r for r in load_mini_corpus() if r.id in FUZZ_IDS]
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus = root / "corpus.jsonl"
+    corpus.write_text("\n".join(
+        line for line in mini_corpus_path().read_text().splitlines()
+        if json.loads(line)["id"] in FUZZ_IDS) + "\n")
+    gold = {r.id: extract_with_alignment(r.sentence, r.gold_graph)[0] for r in recs}
+    return root, str(corpus), gold
+
+
+_fuzz_action = st.builds(
+    lambda kind, parts: kind + "".join(sep + p for sep, p in parts),
+    st.sampled_from(FUZZ_KINDS),
+    st.lists(st.tuples(st.sampled_from((":", "::", "")),
+                       st.sampled_from(FUZZ_PARAMS)), max_size=3))
+# (operation, position, action): positions are taken modulo the length
+_fuzz_edit = st.tuples(st.sampled_from(("drop", "insert", "replace", "swap",
+                                        "truncate")),
+                       st.integers(0, 1 << 16), _fuzz_action)
+
+
+def _mutated(actions, edits):
+    actions = list(actions)
+    for op, pos, action in edits:
+        i = pos % (len(actions) + 1)
+        if op == "insert":
+            actions.insert(i, action)
+        elif op == "truncate":
+            del actions[i:]
+        elif i < len(actions):
+            if op == "drop":
+                del actions[i]
+            elif op == "replace":
+                actions[i] = action
+            elif i + 1 < len(actions):
+                actions[i], actions[i + 1] = actions[i + 1], actions[i]
+    return actions
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_IDS + ("no-such-id",)),
+                          st.booleans(),
+                          st.lists(_fuzz_edit, max_size=4),
+                          st.lists(_fuzz_action, max_size=6)),
+                min_size=1, max_size=3))
+def test_replay_of_generated_action_files_ends_cleanly(fuzz_files, records):
+    # a mutated legal walk, or random actions, under each header: replay
+    # ends with exit 0 and no message, or exit 1 and one error: line
+    root, corpus, gold = fuzz_files
+    blocks = []
+    for rid, walk, edits, randoms in records:
+        actions = _mutated(gold.get(rid, ()), edits) if walk else randoms
+        blocks.append("# id: %s\n%s" % (rid, tm.format_actions(actions)))
+    action_file = root / "actions.txt"
+    action_file.write_text("".join(blocks))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(["replay", corpus, str(action_file), "-o",
+                    str(root / "replayed.txt")])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_command_line_usage_error_keeps_exit_2(tmp_path, tiny_file, capsys):
     # a bad typed value is argparse's usage error, also beside a good config
     golds = tmp_path / "golds.ulf"
@@ -374,19 +459,6 @@ def test_command_line_usage_error_keeps_exit_2(tmp_path, tiny_file, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ulfparse eval") and "--k: invalid int" in err
-
-
-def test_first_divergence_diagnostic():
-    from ulfparse.cli import _first_divergence
-    from ulfparse.core import Sentence, parse_sexpr, tree_to_graph
-    s = Sentence.make(["I", "run"], ["i", "run"], ["PRP", "VBP"])
-    gold = tree_to_graph(parse_sexpr("(i.pro ((pres run.v)))"))
-    # a sequence that wires run.v under i.pro directly diverges at its ARC
-    actions = ["WORDGEN", "TOKEN", "SUFFIX:pro", "PUSHIDX:0", "NOARC",
-               "NOPROMOTE", "NOPOP", "WORDGEN", "TOKEN", "SUFFIX:v",
-               "PUSHIDX:1", "ARC:0:right::ARG0"]
-    div = _first_divergence(s, actions, gold)
-    assert div.startswith("11 (ARC")
 
 
 def test_parse_corpus_without_gold(tmp_path, tiny_file):

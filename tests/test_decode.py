@@ -29,39 +29,6 @@ def trained(corpus_items):
     return model, machine
 
 
-# -- attention ----------------------------------------------------------------
-
-def test_attention_arc_phase():
-    m = tm.Machine()
-    s = Sentence.make(["a", "b", "c", "d", "e"])
-    c = m.init(s)
-    for a in ["SKIP", "SKIP", "SKIP", "SKIP", "WORDGEN", "TOKEN", "SUFFIX:n",
-              "PUSHIDX:1"]:
-        c = m.apply(c, a)
-    assert c.phase == tm.ARC
-    word, sym = dec.attention_indices(c)
-    assert word == 5 and sym == 1  # rightmost cache symbol, its word
-
-
-def test_attention_push_after_symgen():
-    m = tm.Machine()
-    c = m.init(Sentence.make(["a", "b"]))
-    c = m.apply(c, "SYMGEN:that.pro")
-    assert c.phase == tm.PUSH
-    word, sym = dec.attention_indices(c)
-    assert word == 0 and sym == 1  # unaligned symbol: word sentinel
-
-
-def test_attention_gen_default():
-    m = tm.Machine()
-    c = m.init(Sentence.make(["a", "b"]))
-    for a in ["WORDGEN", "TOKEN", "SUFFIX:n", "PUSHIDX:0", "NOARC",
-              "NOPROMOTE", "NOPOP"]:
-        c = m.apply(c, a)
-    word, sym = dec.attention_indices(c)
-    assert word == 2 and sym == 1  # buffer word 2, one symbol so far
-
-
 # -- features -----------------------------------------------------------------
 
 def test_features_fresh_config():

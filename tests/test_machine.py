@@ -5,6 +5,7 @@ from ulfparse import machine as tm
 from ulfparse.core import Sentence
 
 from goldens import I_RUN_ACTIONS
+from reference_machine import ReferenceLegality
 
 
 def sent(*surfaces, lemmas=None, pos=None):
@@ -321,3 +322,39 @@ def test_random_walk_preserves_invariants(choices):
             assert c.verts[-1].alignment is not None
         if c.last_action.startswith(("SYMGEN", "PROMOTE_SYM")):
             assert c.verts[-1].alignment is None
+
+
+# -- the legality table against the rules as first written ---------------------
+
+# closed vocabularies (labels with a leading colon, an empty suffix), open
+# ones, and closed but empty ones, in which no parameterized action is legal
+LEGALITY_MACHINES = (WALK_MACHINE, OPEN_MACHINE,
+                     tm.Machine(arc_labels=[], suffixes=[], symgen_vocab=[],
+                                promote_syms=[]))
+# what a walk puts in place of an open vocabulary's "*" marker
+OPEN_PARAMS = (":ARG0", "", "that.pro", "n", "*")
+LEGALITY_POOL = WALK_POOL + ["SYMGEN:*", "SUFFIX:*", "PROMOTE_SYM:*",
+                             "PROMOTE_ARC:*", "PROMOTE_ARC:", "ARC:0:left:*",
+                             "ARC:0:right:*", "ARC:0:right:", "PROMOTE_SYM:",
+                             "ARC:0:left:::ARG0", "ARC:0:right:left:x"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(LEGALITY_MACHINES), st.integers(1, 5),
+       st.lists(st.integers(0, 1 << 30), min_size=30, max_size=150))
+def test_legality_table_equals_reference(m, n_words, picks):
+    ref = ReferenceLegality(m)
+    c = m.init(sent(*["New", "York", "is", "big", "."][:n_words]))
+    for pick in picks:
+        menu = m.legal_actions(c)
+        assert menu == ref.legal_actions(c), c.phase
+        for a in LEGALITY_POOL:
+            assert m.is_legal(c, a) == ref.is_legal(c, a), (c.phase, a)
+        if not menu or c.steps > 150:
+            break
+        action = menu[pick % len(menu)]
+        if action.endswith(":*"):
+            action = action[:-1] + OPEN_PARAMS[pick % len(OPEN_PARAMS)]
+            if action == "SYMGEN:" or action == "PROMOTE_SYM:":
+                action += "k"  # an empty atom does not parse
+        c = m.apply(c, action)
