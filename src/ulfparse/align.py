@@ -59,7 +59,7 @@ def sim(token, n: int, atom, atom_pos: int, m: int) -> float:
     m atoms.
     """
     b = atom.stem
-    e = atom.suffix
+    e = atom.tag
     base = max(olap(token.surface, b), olap(token.lemma, b))
     loc = 1.0 - abs(rl(token.index, n) - rl(atom_pos, m))
     return base + 0.5 * (olap(token.pos, e) + loc)

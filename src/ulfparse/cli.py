@@ -191,10 +191,9 @@ def _align_golds(records, promote_syms):
 
 def _inseq(aligned, promote_syms):
     """S_s harvested from _align_golds output."""
-    _, s_s = oracle.build_symbol_sets(
+    return oracle.build_symbol_sets(
         [(rec.sentence, gold, amap) for rec, gold, amap in aligned],
         promote_syms)
-    return s_s
 
 
 def _harvest_inseq(records, promote_syms):
@@ -296,7 +295,7 @@ def cmd_oracle(args):
 
 def cmd_replay(args):
     records = {r.id: r for r in ingest(args.corpus)}
-    machine = tm.Machine(step_cap=args.cap)
+    machine = tm.Machine()
     with open(args.actions) as fh:
         seqs = tm.parse_action_file(fh.read())
     with _out(args.output) as fh:
@@ -524,7 +523,6 @@ def build_parser():
     p.add_argument("corpus")
     p.add_argument("actions")
     p.add_argument("-o", "--output")
-    _add_common(p, promote=False)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("train", help="train the perceptron scorer")

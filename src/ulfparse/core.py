@@ -112,11 +112,6 @@ class Atom:
     def is_name(self) -> bool:
         return self.kind == NAME
 
-    @property
-    def suffix(self) -> str:
-        """The suffix extension; empty for operators and untagged names."""
-        return self.tag
-
 
 def parse_atom(text: str) -> Atom:
     """Parse one atom spelling.  Inverse of :meth:`Atom.render`."""
@@ -266,12 +261,6 @@ class UlfGraph:
         out = [(dst, lab) for src, dst, lab in self.edges if src == vid]
         out.sort(key=lambda e: _edge_sort_key(e[1]))
         return out
-
-    def parent(self, vid: int) -> Optional[int]:
-        for src, dst, _ in self.edges:
-            if dst == vid:
-                return src
-        return None
 
     def label(self, vid: int) -> str:
         return self.vertices[vid].symbol.render()

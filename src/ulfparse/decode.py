@@ -1,9 +1,11 @@
 """Beam-search decoding with a pluggable scorer.
 
 The scorer interface is ``score(config, features, legal) -> {action:
-log-weight}``.  Implementations: an averaged perceptron over sparse
-transition-state features, an oracle-following scorer for testing, a
-seeded random scorer for baselines, and a line-protocol client for
+log-weight}``, where features is the tuple of binary feature strings that
+extract_features gives the configuration: a feature is present or
+absent, and has no value.  Implementations: an averaged perceptron over
+these transition-state features, an oracle-following scorer for testing,
+a seeded random scorer for baselines, and a line-protocol client for
 external scorer processes.
 
 Decoding applies two optional constraints: a lexicon restricting which
@@ -262,11 +264,11 @@ def _pair_feats(out, c, frags, left_vid, right_vid):
         _arc_feats(out, prefix, c, vid, 2)
 
 
-def extract_features(c: tm.Config, dep=None, frags=None) -> dict:
-    """Sparse transition-state features keyed by phase group, plus
-    surrounding state the sequence model would otherwise carry: buffer
-    lookahead tokens, stack depth and top slot, the previous action kind,
-    and sentence length, with a few conjunctions.
+def extract_features(c: tm.Config, dep=None, frags=None) -> tuple:
+    """The tuple of binary transition-state features keyed by phase
+    group, plus surrounding state the sequence model would otherwise
+    carry: buffer lookahead tokens, stack depth and top slot, the previous
+    action kind, and sentence length, with a few conjunctions.
 
     frags, a SentenceFeatures of c's sentence and dep, carries fragments
     from call to call; without it the call builds its own.  Either way
@@ -309,13 +311,19 @@ def extract_features(c: tm.Config, dep=None, frags=None) -> dict:
 
 def _conjoin(out, phase, frags):
     """The features of out, {prefix: feature}, then the conjunctions of
-    the phase's prefix pairs, then each feature conjoined with the phase,
-    all with value 1.0."""
+    the phase's prefix pairs, then each feature conjoined with the phase.
+
+    None repeats.  Each prefix ends at its only "=", so a feature's text
+    up to its first "=" is its prefix, and out's features differ.  The
+    pair and phase features "phase=P&a&b" and "phase=P&f" differ from
+    "phase=P", out's one feature with prefix "phase=", and from each
+    other: f == a&b would give f == out[p1] == a.
+    """
     keys = list(out.values())
     head = out["phase="]
     pairs = ["%s&%s&%s" % (head, out[p1], out[p2])
              for p1, p2 in _CONJ_PAIRS.get(phase, ()) if p1 in out and p2 in out]
-    return dict.fromkeys(keys + pairs + frags.phased(phase, keys), 1.0)
+    return tuple(keys + pairs + frags.phased(phase, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +383,12 @@ class PerceptronModel:
         if len(memo) > BUCKET_MEMO_SIZE:
             memo.clear()
         try:
-            return [(memo[f], v) for f, v in features.items()]
+            return [memo[f] for f in features]
         except KeyError:
             for f in features:
                 if f not in memo:
                     memo[f] = _bucket(f, self.salt, self.dim)
-            return [(memo[f], v) for f, v in features.items()]
+            return [memo[f] for f in features]
 
     def dense_rows(self, features) -> list:
         """The weight row of each feature's bucket, in feature order, as a
@@ -396,7 +404,7 @@ class PerceptronModel:
                 table.clear()
             missing = [f for f in features if f not in table]
             n = len(self.actions)
-            for f, (b, _) in zip(missing, self.buckets(dict.fromkeys(missing, 1.0))):
+            for f, b in zip(missing, self.buckets(missing)):
                 row = self.weights.get(b)
                 dense = None
                 if row:
@@ -413,32 +421,33 @@ class PerceptronModel:
         if ai is None:
             return 0.0
         w = self.weights
-        return sum(w.get(b, _NO_ROW).get(ai, 0.0) * v for b, v in buckets)
+        return sum(w.get(b, _NO_ROW).get(ai, 0.0) for b in buckets)
 
     def score_actions(self, buckets, actions) -> list:
         """score_buckets of every action, looking each bucket's row up once.
 
-        Each action's terms are the same products in the same bucket
+        Each action's terms are the same weights in the same bucket
         order, added by the same builtin sum, so every score is
         bit-identical to score_buckets'.
         """
-        rows = [(self.weights.get(b, _NO_ROW), v) for b, v in buckets]
+        rows = [self.weights.get(b, _NO_ROW) for b in buckets]
         ids = self.action_ids
         return [0.0 if (ai := ids.get(a)) is None
-                else sum([row.get(ai, 0.0) * v for row, v in rows])
+                else sum([row.get(ai, 0.0) for row in rows])
                 for a in actions]
 
     def update(self, features, gold_action, pred_action):
         self.updates += 1
         self._dense_of.clear()
         t = self.updates
-        for b, v in self.buckets(features):
+        gold, pred = self.action_ids[gold_action], self.action_ids[pred_action]
+        for b in self.buckets(features):
             wrow = self.weights.setdefault(b, {})
             trow = self.totals.setdefault(b, {})
-            for action, delta in ((gold_action, v), (pred_action, -v)):
-                ai = self.action_ids[action]
-                wrow[ai] = wrow.get(ai, 0.0) + delta
-                trow[ai] = trow.get(ai, 0.0) + t * delta
+            wrow[gold] = wrow.get(gold, 0.0) + 1.0
+            trow[gold] = trow.get(gold, 0.0) + t
+            wrow[pred] = wrow.get(pred, 0.0) - 1.0
+            trow[pred] = trow.get(pred, 0.0) - t
 
     def finalize(self, steps):
         """Average: w <- w - totals/steps, then free the totals, which
@@ -615,9 +624,8 @@ class PerceptronScorer:
     since the last call, since its weights change only then, and with
     each new sentence, since repeats seldom cross sentences.
 
-    When every feature has value 1.0, a term is the weight itself, and
-    the model's dense rows (PerceptronModel.dense_rows), transposed, give
-    each legal action its terms in feature order, with 0.0 where a row
+    The model's dense rows (PerceptronModel.dense_rows), transposed, give
+    each legal action its weights in feature order, with 0.0 where a row
     has no weight for it and without the buckets that have no row.  The
     sum is the same to the bit: it starts at +0.0, can never become
     -0.0, and adding 0.0 to any other value returns that value.
@@ -625,7 +633,7 @@ class PerceptronScorer:
 
     def __init__(self, model: PerceptronModel):
         self.model = model
-        self._memo = {}      # (features, values, legal) -> scores
+        self._memo = {}      # (features, legal) -> scores
         self._version = None  # (updates, averaged, actions) of the memo
         self._sentence = None
 
@@ -637,18 +645,13 @@ class PerceptronScorer:
                 or len(memo) >= SCORE_MEMO_SIZE:
             memo.clear()
             self._version, self._sentence = version, c.sentence
-        values = tuple(features.values())
-        key = (tuple(features), values, tuple(legal))
+        key = (features, tuple(legal))
         scores = memo.get(key)
         if scores is None:
-            if values.count(1.0) == len(values):
-                scores = self._unit_scores(features, legal)
-            else:
-                scores = model.score_actions(model.buckets(features), legal)
-            memo[key] = scores
+            scores = memo[key] = self._dense_scores(features, legal)
         return dict(zip(legal, scores))
 
-    def _unit_scores(self, features, legal):
+    def _dense_scores(self, features, legal):
         rows = self.model.dense_rows(features)
         ids = self.model.action_ids
         known = [ai for ai in map(ids.get, legal) if ai is not None]
@@ -687,10 +690,10 @@ class ExternalScorer:
 
     Each message is a header line with the decimal byte length of the
     UTF-8 JSON payload, then the payload itself followed by a newline.
-    Requests carry {"features": ..., "legal": [...]}; responses carry
-    {"scores": {action: weight}} with finite weights.  A reply that does
-    not arrive whole within the timeout, or breaks the framing, raises
-    ExternalScorerError and stops the process.
+    Requests carry {"features": {feature: 1.0}, "legal": [...]};
+    responses carry {"scores": {action: weight}} with finite weights.  A
+    reply that does not arrive whole within the timeout, or breaks the
+    framing, raises ExternalScorerError and stops the process.
     """
 
     def __init__(self, argv, timeout=EXTERNAL_TIMEOUT):
@@ -755,8 +758,8 @@ class ExternalScorer:
             self._fail("sent a body that is not UTF-8: %s" % e)
 
     def score(self, c, features, legal):
-        req = json.dumps({"features": features, "legal": list(legal)},
-                         sort_keys=True)
+        req = json.dumps({"features": dict.fromkeys(features, 1.0),
+                          "legal": list(legal)}, sort_keys=True)
         body = self._roundtrip(req)
         try:
             scores = json.loads(body)["scores"]

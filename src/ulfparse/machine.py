@@ -43,6 +43,7 @@ from .core import (
     SUFFIXED,
     Sentence,
     UlfGraph,
+    UlfSyntaxError,
     Vertex,
     graph_fragments,
     parse_atom,
@@ -97,6 +98,14 @@ def parse_arc_action(action: str):
 
 def arc_action(i: int, direction: str, label: str) -> str:
     return "ARC:%d:%s:%s" % (i, direction, label)
+
+
+def _param_atom(action: str, arg: str) -> Atom:
+    """The atom that a SYMGEN or PROMOTE_SYM parameter spells."""
+    try:
+        return parse_atom(arg)
+    except UlfSyntaxError as e:
+        raise IllegalAction("action %r names no atom: %s" % (action, e)) from e
 
 
 def format_actions(actions) -> str:
@@ -337,7 +346,7 @@ class Machine:
                          merged=1, phase=PUSH)
 
         if kind == "SYMGEN":
-            verts = c.verts + (Vertex(parse_atom(arg), None),)
+            verts = c.verts + (Vertex(_param_atom(action, arg), None),)
             return _next(c, action, verts=verts, parents=c.parents + (None,),
                          pending=len(verts) - 1, phase=PUSH)
 
@@ -364,7 +373,7 @@ class Machine:
             return _next(c, action, phase=PROMOTE)
 
         if kind == "PROMOTE_SYM":
-            verts = c.verts + (Vertex(parse_atom(arg), None),)
+            verts = c.verts + (Vertex(_param_atom(action, arg), None),)
             return _next(c, action, verts=verts, parents=c.parents + (None,),
                          promoted=len(verts) - 1, phase=PROMOTEARC)
 

@@ -77,9 +77,6 @@ class GoldIndex:
         idx._designate(set(promote_syms))
         return idx
 
-    def label(self, vid):
-        return self.graph.vertices[vid].symbol.render()
-
     def _designate(self, promote_syms):
         # Only unary operators are promotion-designated.  A promoted vertex
         # materializes in the rightmost cache slot and gets exactly one
@@ -90,15 +87,9 @@ class GoldIndex:
         # with only the chain top needing the single regular arc.
         for v in range(len(self.graph.vertices)):
             kids = self.children[v]
-            if self.label(v) in promote_syms and len(kids) == 1:
+            if self.graph.label(v) in promote_syms and len(kids) == 1:
                 self.promoted.add(v)
                 self.trigger[v] = kids[0][0]
-
-
-@dataclass(frozen=True)
-class OracleState:
-    config: tm.Config
-    hyp2gold: tuple  # machine vid -> gold vid
 
 
 class Oracle:
@@ -107,12 +98,11 @@ class Oracle:
                  step_cap=tm.DEFAULT_STEP_CAP):
         self.sentence = sentence
         self.gold = gold
-        self.alignment = alignment
-        self.s_p = tuple(promote_syms)
         self.s_s = frozenset(inseq_syms)
-        self.idx = GoldIndex.build(gold, self.s_p)
-        self.machine = tm.Machine(step_cap=step_cap)  # open vocabularies
+        self.idx = GoldIndex.build(gold, promote_syms)
+        self.machine = tm.Machine()  # open vocabularies
         self.step_cap = step_cap
+        self.hyp2gold = []  # machine vid -> gold vid, filled by extract
         # word index -> gold vids it aligns to
         self.word_verts = {}
         for w, v in alignment.token_pairs:
@@ -123,68 +113,64 @@ class Oracle:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def initial(self) -> OracleState:
-        return OracleState(self.machine.init(self.sentence), ())
+    def gold_of(self, vid):
+        return self.hyp2gold[vid] if vid is not None else None
 
-    def gold_of(self, st: OracleState, vid):
-        return st.hyp2gold[vid] if vid is not None else None
-
-    def generated(self, st: OracleState) -> set:
-        return set(st.hyp2gold)
-
-    def next_gen_target(self, st: OracleState):
-        done = self.generated(st)
+    def next_gen_target(self):
+        done = set(self.hyp2gold)
         for v in range(len(self.gold.vertices)):
             if v not in done and v not in self.idx.promoted:
                 return v
         return None
 
-    def fully_formed(self, st: OracleState, vid) -> bool:
-        g = st.hyp2gold[vid]
-        return len(st.config.descendants(vid)) == self.idx.subtree_size[g] - 1
+    def fully_formed(self, c: tm.Config, vid) -> bool:
+        g = self.hyp2gold[vid]
+        return len(c.descendants(vid)) == self.idx.subtree_size[g] - 1
 
-    def attached(self, st: OracleState, vid) -> bool:
-        return st.config.parent_of(vid) is not None
+    def all_done(self, c: tm.Config) -> bool:
+        return (len(self.hyp2gold) == len(self.gold.vertices)
+                and len(c.edges) == self.idx.n_edges)
 
-    def all_done(self, st: OracleState) -> bool:
-        return (len(st.hyp2gold) == len(self.gold.vertices)
-                and len(st.config.edges) == self.idx.n_edges)
+    def _promotes_next(self, g) -> bool:
+        """Whether gold vertex g triggers its parent's promotion, which is
+        still to come."""
+        p = self.idx.parent[g]
+        return (p is not None and p not in self.hyp2gold
+                and p in self.idx.promoted and self.idx.trigger[p] == g)
 
     # -- per-phase rules ------------------------------------------------------
 
-    def next_action(self, st: OracleState) -> str:
-        """The rule action in this state (no lookahead)."""
-        c = st.config
+    def next_action(self, c: tm.Config) -> str:
+        """The rule action in configuration c (no lookahead)."""
         phase = c.phase
         action = None
         if phase == tm.GEN:
-            action = self._gen_action(st)
+            action = self._gen_action(c)
         elif phase == tm.WORDGEN:
-            action = self._wordgen_action(st)
+            action = self._wordgen_action(c)
         elif phase in (tm.NAMEGEN, tm.LEMMAGEN, tm.TOKENGEN):
-            target = self.next_gen_target(st)
+            target = self.next_gen_target()
             tag = self.gold.vertices[target].symbol.tag if target is not None else ""
             action = "SUFFIX:%s" % tag
         elif phase == tm.PUSH:
-            action = self._push_action(st)
+            action = self._push_action(c)
         elif phase == tm.ARC:
-            action = self._arc_action(st)
+            action = self._arc_action(c)
         elif phase == tm.PROMOTE:
-            action = self._promote_action(st)
+            action = self._promote_action(c)
         elif phase == tm.PROMOTEARC:
-            g_par = st.hyp2gold[c.promoted]
-            g_child = st.hyp2gold[c.cache[1]]
+            g_par = self.hyp2gold[c.promoted]
+            g_child = self.hyp2gold[c.cache[1]]
             action = "PROMOTE_ARC:%s" % self.idx.edge_labels[(g_par, g_child)]
         elif phase == tm.POP:
-            action = self._pop_action(st)
+            action = self._pop_action(c)
         if action is None:
             raise OracleError("no oracle rule fires", c)
         return action
 
     # GEN: the ordered generation steps.
-    def _gen_action(self, st: OracleState):
-        c = st.config
-        target = self.next_gen_target(st)
+    def _gen_action(self, c):
+        target = self.next_gen_target()
         if target is not None and not c.buffer_empty:
             atom = self.gold.vertices[target].symbol
             b, is_name = atom.stem, atom.is_name
@@ -208,154 +194,134 @@ class Oracle:
                 ):
                     return "MERGEBUF"
         # 5: generate the target without a word
-        if target is not None and self._symgen_now(st, target):
-            return "SYMGEN:%s" % self.idx.label(target)
+        if target is not None and self._symgen_now(c, target):
+            return "SYMGEN:%s" % self.gold.label(target)
         # 6: discard a front word that cannot feed the target
-        if not c.buffer_empty and self._skip_now(st, target):
+        if not c.buffer_empty and self._skip_now(c, target):
             return "SKIP"
         # 7: fallback
         if target is not None:
-            return "SYMGEN:%s" % self.idx.label(target)
+            return "SYMGEN:%s" % self.gold.label(target)
         return None
 
-    def _symgen_now(self, st, target) -> bool:
+    def _symgen_now(self, c, target) -> bool:
         word = self.vert_word.get(target)
         if word is None:
             return True  # never alignable: only SYMGEN can produce it
-        if word < st.config.cursor:
+        if word < c.cursor:
             return True  # its word is already consumed
-        return self.idx.label(target) in self.s_s
+        return self.gold.label(target) in self.s_s
 
-    def _skip_now(self, st, target) -> bool:
-        w = st.config.cursor
-        aligned = self.word_verts.get(w)
+    def _skip_now(self, c, target) -> bool:
+        aligned = self.word_verts.get(c.cursor)
         if not aligned:
             return True  # word aligns to nothing
-        done = self.generated(st)
+        done = set(self.hyp2gold)
         return all(v in done or (target is not None and v > target) for v in aligned)
 
-    def _wordgen_action(self, st: OracleState):
-        c = st.config
-        target = self.next_gen_target(st)
-        atom = self.gold.vertices[target].symbol
-        toks = c.front_tokens()
+    def _wordgen_action(self, c):
+        atom = self.gold.vertices[self.next_gen_target()].symbol
         if atom.is_name:
             return "NAME"
-        if "_".join(t.surface.lower() for t in toks) == atom.stem:
+        if "_".join(t.surface.lower() for t in c.front_tokens()) == atom.stem:
             return "TOKEN"
         return "LEMMA"
 
-    def _push_action(self, st: OracleState):
-        c = st.config
-        g = st.hyp2gold[c.pending]
+    def _push_action(self, c):
+        g = self.hyp2gold[c.pending]
         if self.idx.children[g]:
             return "PUSHIDX:0"  # a constituent head builds at the left slot
         p = self.idx.parent[g]
-        r_gold = self.gold_of(st, c.cache[1])
+        r_gold = self.gold_of(c.cache[1])
         return "PUSHIDX:%d" % (0 if (p is not None and p == r_gold) else 1)
 
-    def _arc_action(self, st: OracleState):
-        c = st.config
+    def _arc_action(self, c):
         l, r = c.cache
         if l is None or r is None:
             return "NOARC"
-        gl, gr = st.hyp2gold[l], st.hyp2gold[r]
+        gl, gr = self.hyp2gold[l], self.hyp2gold[r]
+        labels = self.idx.edge_labels
         built = set(c.edges)
-        if (gl, gr) in self.idx.edge_labels and (l, r, self.idx.edge_labels[(gl, gr)]) not in built:
-            if self.fully_formed(st, r):
-                return tm.arc_action(0, "right", self.idx.edge_labels[(gl, gr)])
-        if (gr, gl) in self.idx.edge_labels and (r, l, self.idx.edge_labels[(gr, gl)]) not in built:
-            if self.fully_formed(st, l):
-                return tm.arc_action(0, "left", self.idx.edge_labels[(gr, gl)])
+        if (gl, gr) in labels and (l, r, labels[(gl, gr)]) not in built:
+            if self.fully_formed(c, r):
+                return tm.arc_action(0, "right", labels[(gl, gr)])
+        if (gr, gl) in labels and (r, l, labels[(gr, gl)]) not in built:
+            if self.fully_formed(c, l):
+                return tm.arc_action(0, "left", labels[(gr, gl)])
         return "NOARC"
 
-    def _promote_action(self, st: OracleState):
-        c = st.config
+    def _promote_action(self, c):
         r = c.cache[1]
-        if r is None or self.attached(st, r) or not self.fully_formed(st, r):
+        if r is None or c.parent_of(r) is not None or not self.fully_formed(c, r):
             return "NOPROMOTE"
-        g = st.hyp2gold[r]
-        p = self.idx.parent[g]
-        if (p is not None and p not in self.generated(st)
-                and p in self.idx.promoted and self.idx.trigger[p] == g):
-            return "PROMOTE_SYM:%s" % self.idx.label(p)
+        g = self.hyp2gold[r]
+        if self._promotes_next(g):
+            return "PROMOTE_SYM:%s" % self.gold.label(self.idx.parent[g])
         return "NOPROMOTE"
 
-    def _pop_action(self, st: OracleState):
-        c = st.config
+    def _pop_action(self, c):
         if not c.stack:
             return "NOPOP"
         r = c.cache[1]
         retire_ok = r is None or (
-            self.fully_formed(st, r)
-            and (self.attached(st, r) or st.hyp2gold[r] == self.gold.root)
+            self.fully_formed(c, r)
+            and (c.parent_of(r) is not None or self.hyp2gold[r] == self.gold.root)
         )
         if not retire_ok:
             return "NOPOP"
         i, v = c.stack[-1]
         left = c.cache[0]
-        if i == 1 or left is None or self.all_done(st):
+        if i == 1 or left is None or self.all_done(c):
             return "POP"
-        if self.fully_formed(st, left):
-            gl = st.hyp2gold[left]
-            v_gold = self.gold_of(st, v)
-            p = self.idx.parent[gl]
-            pending_trigger = (
-                p is not None and p not in self.generated(st)
-                and p in self.idx.promoted and self.idx.trigger[p] == gl
-            )
-            if (v_gold is not None and v_gold == p) or pending_trigger:
+        if self.fully_formed(c, left):
+            gl = self.hyp2gold[left]
+            v_gold = self.gold_of(v)
+            if (v_gold is not None and v_gold == self.idx.parent[gl]) \
+                    or self._promotes_next(gl):
                 return "POP"
         return "NOPOP"
-
-    # -- state transition ------------------------------------------------------
-
-    def step(self, st: OracleState, action: str) -> OracleState:
-        c2 = self.machine.apply(st.config, action)
-        kind = tm.action_kind(action)
-        h2g = st.hyp2gold
-        if kind in ("SUFFIX", "SYMGEN"):
-            h2g = h2g + (self.next_gen_target(st),)
-        elif kind == "PROMOTE_SYM":
-            g = st.hyp2gold[st.config.cache[1]]
-            h2g = h2g + (self.idx.parent[g],)
-        return OracleState(c2, h2g)
-
-    def is_goal(self, st: OracleState) -> bool:
-        return self.machine.is_terminal(st.config) and self.all_done(st)
 
     # -- extraction ------------------------------------------------------------
 
     def extract(self) -> list:
-        """Follow the rule policy from the initial state to the goal."""
-        st = self.initial()
+        """Follow the rule policy from the initial configuration to the
+        goal, and check that the final configuration holds the gold graph.
+
+        Every action goes through Machine.apply, so the final
+        configuration is the sequence's replay from Machine.init.
+        """
+        machine = self.machine
+        c = machine.init(self.sentence)
+        self.hyp2gold = []
         actions = []
-        while not self.is_goal(st):
+        while not (machine.is_terminal(c) and self.all_done(c)):
             if len(actions) == self.step_cap:
                 raise OracleError(
-                    "oracle sequence exceeds the %d-action cap" % self.step_cap,
-                    st.config)
-            action = self.next_action(st)
+                    "oracle sequence exceeds the %d-action cap" % self.step_cap, c)
+            action = self.next_action(c)
             try:
-                st = self.step(st, action)
+                c = machine.apply(c, action)
             except tm.IllegalAction as e:
                 raise OracleError("oracle rule action %s is illegal: %s"
-                                  % (action, e), st.config) from e
+                                  % (action, e), c) from e
+            kind = tm.action_kind(action)
+            if kind in ("SUFFIX", "SYMGEN"):
+                self.hyp2gold.append(self.next_gen_target())
+            elif kind == "PROMOTE_SYM":  # over the child at the right slot
+                self.hyp2gold.append(self.idx.parent[self.hyp2gold[c.cache[1]]])
             actions.append(action)
+        frags = machine.extract_result(c)
+        if len(frags) != 1 or not graphs_equal(frags[0], self.gold):
+            raise OracleError("replay does not reconstruct the gold graph", c)
         return actions
 
 
 def extract(sentence: Sentence, gold: UlfGraph, alignment: AlignmentMap,
             promote_syms=DEFAULT_PROMOTE_SYMBOLS, inseq_syms=frozenset(),
             step_cap=tm.DEFAULT_STEP_CAP) -> list:
-    """Extract the gold action sequence and verify it replays to gold."""
-    oracle = Oracle(sentence, gold, alignment, promote_syms, inseq_syms, step_cap)
-    actions = oracle.extract()
-    final = tm.Machine(step_cap=step_cap).replay(sentence, actions)
-    frags = oracle.machine.extract_result(final)
-    if len(frags) != 1 or not graphs_equal(frags[0], gold):
-        raise OracleError("replay does not reconstruct the gold graph", final)
-    return actions
+    """Extract the gold action sequence, verified to replay to gold."""
+    return Oracle(sentence, gold, alignment, promote_syms, inseq_syms,
+                  step_cap).extract()
 
 
 def extract_with_alignment(sentence: Sentence, gold: UlfGraph,
@@ -367,16 +333,15 @@ def extract_with_alignment(sentence: Sentence, gold: UlfGraph,
     return extract(sentence, gold, amap, promote_syms, inseq_syms, step_cap), amap
 
 
-def build_symbol_sets(aligned, promote_syms=DEFAULT_PROMOTE_SYMBOLS):
-    """Harvest (S_p, S_s) from an aligned training corpus.
+def build_symbol_sets(aligned, promote_syms=DEFAULT_PROMOTE_SYMBOLS) -> frozenset:
+    """Harvest S_s from an aligned training corpus.
 
     aligned: iterable of (Sentence, UlfGraph, AlignmentMap), each map
-    made with never_align=promote_syms.  S_p is the configured promote
-    vocabulary; S_s collects atoms that appear in gold graphs, are never
-    aligned by the aligner, and are not in S_p.
+    made with never_align=promote_syms.  S_s collects atoms that appear
+    in gold graphs, are never aligned by the aligner, and are not in the
+    promote vocabulary S_p.
     """
-    s_p = tuple(promote_syms)
-    never = frozenset(s_p)
+    never = frozenset(promote_syms)
     s_s = set()
     for _, gold, amap in aligned:
         aligned_vids = {v for _, v in amap.token_pairs}
@@ -384,4 +349,4 @@ def build_symbol_sets(aligned, promote_syms=DEFAULT_PROMOTE_SYMBOLS):
             r = vert.symbol.render()
             if vid not in aligned_vids and r not in never:
                 s_s.add(r)
-    return s_p, frozenset(s_s)
+    return frozenset(s_s)

@@ -216,6 +216,15 @@ def test_replay_command(tmp_path, tiny_file):
     assert "(i.pro (pres run.v))" in body
 
 
+def test_replay_has_no_cap_option(tmp_path, tiny_file, capsys):
+    actions = tmp_path / "actions.txt"
+    assert run(["oracle", tiny_file, "-o", str(actions)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["replay", tiny_file, str(actions), "--cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+
 def test_train_parse_eval_pipeline(tmp_path, tiny_file):
     model = tmp_path / "model.json"
     assert run(["train", tiny_file, str(model), "--epochs", "3",

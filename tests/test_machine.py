@@ -161,6 +161,21 @@ def test_illegal_actions_raise():
         m.apply(c, "MERGEBUF")  # single word
 
 
+def test_symbol_parameter_that_is_no_atom_is_illegal():
+    # an open vocabulary offers any SYMGEN or PROMOTE_SYM parameter, but
+    # one that spells no atom cannot be applied
+    m = tm.Machine()
+    c = m.init(sent("shoes", lemmas=["shoe"]))
+    for action in ("SYMGEN:", "SYMGEN:|x"):
+        with pytest.raises(tm.IllegalAction, match="names no atom"):
+            m.apply(c, action)
+    for a in ["WORDGEN", "LEMMA", "SUFFIX:n", "PUSHIDX:1", "NOARC"]:
+        c = m.apply(c, a)
+    assert m.is_legal(c, "PROMOTE_SYM:")
+    with pytest.raises(tm.IllegalAction, match="names no atom"):
+        m.apply(c, "PROMOTE_SYM:")
+
+
 def test_action_text_format():
     line = tm.arc_action(0, "left", ":ARG0")
     assert line == "ARC:0:left::ARG0"

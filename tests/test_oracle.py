@@ -124,14 +124,17 @@ def test_monotone_cursor():
         "((the.d device.n) ((pres (pasv attach.v)) firmly.adv-a))"))
     amap = align(s, gold, never_align=NEVER)
     oracle = Oracle(s, gold, amap)
-    st_ = oracle.initial()
-    last = -1
-    for a in oracle.extract():
-        target = oracle.next_gen_target(st_)
-        if target is not None:
-            assert target >= last
-            last = target
-        st_ = oracle.step(st_, a)
+    targets = []
+    next_gen_target = oracle.next_gen_target
+
+    def spy():
+        targets.append(next_gen_target())
+        return targets[-1]
+
+    oracle.next_gen_target = spy
+    oracle.extract()
+    seen = [t for t in targets if t is not None]
+    assert seen and seen == sorted(seen)
 
 
 def test_stuck_reports_config():
@@ -144,19 +147,18 @@ def test_stuck_reports_config():
 
 
 def test_build_symbol_sets_empty_and_full():
-    s_p, s_s = build_symbol_sets([])
-    assert s_s == frozenset() and tuple(s_p) == tuple(DEFAULT_PROMOTE_SYMBOLS)
+    assert build_symbol_sets([]) == frozenset()
     # every atom aligns: nothing unaligned
     s = Sentence.make(["run"], ["run"], ["VB"])
     gold = tree_to_graph(parse_sexpr("run.v"))
-    _, s_s = build_symbol_sets([(s, gold, align(s, gold, never_align=NEVER))])
-    assert s_s == frozenset()
+    assert build_symbol_sets([(s, gold, align(s, gold, never_align=NEVER))]) \
+        == frozenset()
 
 
 def test_build_symbol_sets_harvests_unaligned():
     s = Sentence.make(["go", "now"], ["go", "now"], ["VB", "RB"])
     gold = tree_to_graph(parse_sexpr("(that.pro (go.v now.adv-e))"))
-    _, s_s = build_symbol_sets([(s, gold, align(s, gold, never_align=NEVER))])
+    s_s = build_symbol_sets([(s, gold, align(s, gold, never_align=NEVER))])
     assert "that.pro" in s_s
     assert "go.v" not in s_s
 
@@ -277,7 +279,20 @@ def test_illegal_rule_action_fails_loudly(monkeypatch):
     s = Sentence.make(["hello"], ["hello"], ["UH"])
     gold = tree_to_graph(parse_sexpr("hello.x"))
     oracle = Oracle(s, gold, align(s, gold, never_align=NEVER))
-    monkeypatch.setattr(oracle, "next_action", lambda st: "POP")
+    monkeypatch.setattr(oracle, "next_action", lambda c: "POP")
     with pytest.raises(OracleError, match="POP is illegal") as exc:
         oracle.extract()
     assert exc.value.config.steps == 0
+
+
+def test_gold_mismatch_fails_loudly(monkeypatch):
+    from ulfparse import oracle as oracle_module
+
+    s = Sentence.make(["I", "run", "."], ["i", "run", "."], ["PRP", "VBP", "."])
+    gold = tree_to_graph(parse_sexpr("(i.pro ((pres run.v)))"))
+    amap = align(s, gold, never_align=NEVER)
+    actions = extract(s, gold, amap)
+    monkeypatch.setattr(oracle_module, "graphs_equal", lambda a, b: False)
+    with pytest.raises(OracleError, match="does not reconstruct the gold graph") as exc:
+        extract(s, gold, amap)
+    assert exc.value.config.steps == len(actions)
