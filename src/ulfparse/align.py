@@ -51,18 +51,18 @@ def rl(index: int, n: int) -> float:
     return index / n
 
 
-def sim(token, n: int, atom, atom_pos: int, m: int) -> float:
+def sim(token, n: int, atom, atom_pos: int, m: int, overlap=olap) -> float:
     """Similarity of a word to an atom.
 
     token carries (surface, lemma, pos, index); atom contributes its stem
     and suffix extension; atom_pos is its 1-based preorder position among
-    m atoms.
+    m atoms.  overlap is olap or a memo of it.
     """
     b = atom.stem
     e = atom.tag
-    base = max(olap(token.surface, b), olap(token.lemma, b))
+    base = max(overlap(token.surface, b), overlap(token.lemma, b))
     loc = 1.0 - abs(rl(token.index, n) - rl(atom_pos, m))
-    return base + 0.5 * (olap(token.pos, e) + loc)
+    return base + 0.5 * (overlap(token.pos, e) + loc)
 
 
 @dataclass
@@ -109,13 +109,23 @@ def align(sentence: Sentence, gold: UlfGraph, never_align=frozenset()) -> Alignm
     if n == 0 or m == 0:
         return AlignmentMap()
     neighbors = _adjacency(gold)
+    # olap of each distinct string pair, for this call only: a sentence
+    # repeats its POS tags and atom tags, and most pairs recur; a memo
+    # kept across calls would grow with the vocabulary
+    overlaps = {}
+
+    def overlap(x, y):
+        s = overlaps.get((x, y))
+        if s is None:
+            s = overlaps[x, y] = olap(x, y)
+        return s
 
     scored = []
     for tok in sentence.tokens:
         for vid, vert in enumerate(gold.vertices):
             if vert.symbol.render() in never_align:
                 continue
-            s = sim(tok, n, vert.symbol, vid + 1, m)
+            s = sim(tok, n, vert.symbol, vid + 1, m, overlap)
             if s >= MIN_SIM:
                 # sort: score desc, then word index asc, vertex preorder asc
                 scored.append((-s, tok.index, vid))

@@ -78,13 +78,21 @@ class CorpusRecord:
         return json.dumps(obj, sort_keys=True)
 
 
+_WORD_FIELDS = ("tokens", "lemmas", "pos", "ner")
+
+
 def record_from_obj(obj, lineno="?") -> CorpusRecord:
     def fail(msg):
         raise CorpusError("line %s: %s" % (lineno, msg))
 
+    if not isinstance(obj, dict):
+        fail("a record must be a JSON object")
     for key in ("id", "tokens", "lemmas", "pos"):
         if key not in obj:
             fail("missing %r field" % key)
+    for key in _WORD_FIELDS:
+        if not isinstance(obj.get(key, []), list):
+            fail("%r must be a list of strings" % key)
     tokens = obj["tokens"]
     n = len(tokens)
     if n == 0:
@@ -97,9 +105,15 @@ def record_from_obj(obj, lineno="?") -> CorpusRecord:
         fail("'ner' length mismatch")
     deps = obj.get("deps")
     if deps is not None:
+        if not isinstance(deps, list):
+            fail("'deps' must be a list of [head, label] pairs")
         if len(deps) != n:
             fail("'deps' length mismatch")
-        deps = tuple((int(h), str(lab)) for h, lab in deps)
+        # labels are interned, as Sentence.make interns the words
+        try:
+            deps = tuple((int(h), sys.intern(str(lab))) for h, lab in deps)
+        except (TypeError, ValueError):
+            fail("'deps' must be a list of [head, label] pairs")
         for h, _ in deps:
             if not (0 <= h <= n):
                 fail("dependency head %d out of range" % h)
@@ -109,8 +123,13 @@ def record_from_obj(obj, lineno="?") -> CorpusRecord:
             parse_sexpr(ulf)
         except Exception as e:
             fail("unparseable gold ULF: %s" % e)
-    sentence = Sentence.make(
-        tokens, obj["lemmas"], obj["pos"], ner, raw=obj.get("text"))
+    try:
+        sentence = Sentence.make(
+            tokens, obj["lemmas"], obj["pos"], ner, raw=obj.get("text"))
+    except TypeError:  # Sentence.make interns every word: strings only
+        fail("%r must be a list of strings" % next(
+            key for key in _WORD_FIELDS
+            if not all(isinstance(w, str) for w in obj.get(key, ()))))
     return CorpusRecord(str(obj["id"]), sentence, deps, ulf)
 
 

@@ -17,6 +17,7 @@ expression's own root and :ARGk edges to the remaining siblings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from sys import intern
 from typing import Optional, Union
 
 COMPLEX_LABEL = "COMPLEX"
@@ -31,7 +32,7 @@ class UlfSyntaxError(ValueError):
 # Tokens and sentences
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One input word with its annotations. ``index`` is 1-based."""
 
@@ -66,13 +67,19 @@ class Sentence:
 
     @classmethod
     def make(cls, surfaces, lemmas=None, pos=None, ner=None, raw=None) -> "Sentence":
-        """Convenience constructor from parallel lists."""
+        """Convenience constructor from parallel lists of strings.
+
+        The strings are interned: a corpus repeats most words, and nearly
+        every lemma, POS tag and NER tag, so each is stored once.
+        """
         n = len(surfaces)
         lemmas = lemmas if lemmas is not None else [s.lower() for s in surfaces]
         pos = pos if pos is not None else ["X"] * n
         ner = ner if ner is not None else ["O"] * n
         toks = tuple(
-            Token(surfaces[i], lemmas[i], pos[i], i + 1, ner[i]) for i in range(n)
+            Token(intern(surfaces[i]), intern(lemmas[i]), intern(pos[i]), i + 1,
+                  intern(ner[i]))
+            for i in range(n)
         )
         return cls(raw if raw is not None else " ".join(surfaces), toks)
 

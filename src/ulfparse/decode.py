@@ -24,6 +24,7 @@ import select
 import subprocess
 import time
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -436,12 +437,13 @@ class PerceptronModel:
                 else sum([row.get(ai, 0.0) for row in rows])
                 for a in actions]
 
-    def update(self, features, gold_action, pred_action):
+    def update(self, buckets, gold_action, pred_action):
+        """One perceptron step on a configuration's bucket ids (buckets)."""
         self.updates += 1
         self._dense_of.clear()
         t = self.updates
         gold, pred = self.action_ids[gold_action], self.action_ids[pred_action]
-        for b in self.buckets(features):
+        for b in buckets:
             wrow = self.weights.setdefault(b, {})
             trow = self.totals.setdefault(b, {})
             wrow[gold] = wrow.get(gold, 0.0) + 1.0
@@ -488,15 +490,37 @@ class PerceptronModel:
 
     @classmethod
     def from_json(cls, text) -> "PerceptronModel":
+        """The model to_json wrote.  Text that breaks its schema raises
+        ValueError naming the field; non-finite weights are legal, since
+        to_json writes them."""
         obj = json.loads(text)
-        if obj.get("format") != "ulfparse-perceptron-v1":
+        if not isinstance(obj, dict) or obj.get("format") != "ulfparse-perceptron-v1":
             raise ValueError("unrecognized model format")
-        model = cls(actions=list(obj["actions"]), dim=obj["dim"], salt=obj["salt"],
-                    vocab=obj.get("vocab", {}))
-        model.averaged = obj.get("averaged", False)
-        for key, v in obj["weights"].items():
-            b, a = key.split(",")
-            model.weights.setdefault(int(b), {})[int(a)] = v
+        actions = _model_field(obj, "actions", list)
+        if not _strings(actions) or len(set(actions)) < len(actions):
+            raise ValueError("model field 'actions' must list distinct strings")
+        dim = _model_field(obj, "dim", int)
+        if dim < 1:
+            raise ValueError("model field 'dim' must be positive")
+        vocab = _model_field(obj, "vocab", dict, {})
+        for key, words in vocab.items():
+            if not isinstance(words, list) or not _strings(words):
+                raise ValueError("model field 'vocab' entry %r must list strings" % key)
+        model = cls(actions=actions, dim=dim, salt=_model_field(obj, "salt", int),
+                    vocab=vocab)
+        model.averaged = _model_field(obj, "averaged", bool, False)
+        rows, n = model.weights, len(actions)
+        for key, v in _model_field(obj, "weights", dict).items():
+            b, _, a = key.partition(",")
+            try:
+                b, a = int(b), int(a)
+                ok = 0 <= b < dim and 0 <= a < n and type(v) in (float, int)
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ValueError("model field 'weights' has a bad entry %r: %r"
+                                 % (key, v))
+            rows.setdefault(b, {})[a] = v
         return model
 
     def make_machine(self, step_cap=tm.DEFAULT_STEP_CAP) -> tm.Machine:
@@ -509,6 +533,24 @@ class PerceptronModel:
             symgen_vocab=self.vocab.get("symgen", []),
             promote_syms=self.vocab.get("promote", []),
             step_cap=step_cap)
+
+
+def _model_field(obj, name, kind, *default):
+    """obj[name], which must be a kind (a bool is no int); default, if
+    given, stands in for a missing field."""
+    if name not in obj:
+        if default:
+            return default[0]
+        raise ValueError("model field %r is missing" % name)
+    value = obj[name]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError("model field %r must be a JSON %s" % (
+            name, {list: "list", dict: "object", int: "integer", bool: "boolean"}[kind]))
+    return value
+
+
+def _strings(values):
+    return all(isinstance(v, str) for v in values)
 
 
 def machine_from_actions(action_seqs, step_cap=tm.DEFAULT_STEP_CAP) -> tm.Machine:
@@ -540,7 +582,8 @@ def train_perceptron(items, epochs=5, seed=0, machine=None, dim=1 << 18):
     items: list of (sentence, dep, oracle action sequence).  At each
     oracle step the model is updated when its argmax over legal actions
     differs from the gold action.  Deterministic given seed and corpus
-    order.
+    order.  Each step's buckets and menu are extracted once (step_table),
+    and every epoch runs over them.
     """
     seqs = [seq for _, _, seq in items]
     total_steps = sum(len(s) for s in seqs)
@@ -555,27 +598,22 @@ def train_perceptron(items, epochs=5, seed=0, machine=None, dim=1 << 18):
         "symgen": machine.symgen_vocab or [],
         "promote": machine.promote_syms or [],
     })
+    menus, table = step_table(model, machine, items)
     rng = np.random.default_rng(seed)
     order = list(range(len(items)))
-    step = 0
     for _epoch in range(epochs):
         rng.shuffle(order)
         for idx in order:
-            sentence, dep, seq = items[idx]
-            frags = SentenceFeatures(sentence, dep)
-            c = machine.init(sentence)
-            for gold_action in seq:
-                step += 1
-                feats = extract_features(c, dep, frags)
-                legal = _concrete_candidates(machine, c)
-                if gold_action not in legal:
-                    legal.append(gold_action)
-                legal.sort(key=tm.action_sort_key)
-                scores = model.score_actions(model.buckets(feats), legal)
+            buckets, offsets, menu_ids, golds = table[idx]
+            for k, mi in enumerate(menu_ids):
+                legal = menus[mi]
+                step_buckets = buckets[offsets[k]:offsets[k + 1]]
+                scores = model.score_actions(step_buckets, legal)
                 # runner-up among the non-gold actions, ties broken by the
                 # canonical order; update unless gold wins by a margin,
                 # so the learned separation survives weight averaging
-                gold_score = scores[legal.index(gold_action)]
+                gold_score = scores[golds[k]]
+                gold_action = legal[golds[k]]
                 rival, rival_score = None, None
                 for a, s in zip(legal, scores):
                     if a == gold_action:
@@ -584,10 +622,48 @@ def train_perceptron(items, epochs=5, seed=0, machine=None, dim=1 << 18):
                         rival, rival_score = a, s
                 if rival is not None and gold_score - rival_score < 1.0:
                     model.add_action(rival)
-                    model.update(feats, gold_action, rival)
-                c = machine.apply(c, gold_action)
-    model.finalize(max(step, 1))
+                    model.update(step_buckets, gold_action, rival)
+    model.finalize(max(epochs * total_steps, 1))
     return model, machine
+
+
+def step_table(model, machine, items):
+    """The teacher-forced steps of every item, (menus, table).
+
+    Features, legal menus and configurations do not depend on the
+    weights, so training extracts them once per run.  menus holds each
+    distinct menu once: the concrete legal actions in canonical order,
+    then the gold action if they lack it (where it stands changes no
+    runner-up, as ties go to the first of the other actions).  table[i]
+    is (buckets, offsets, menu_ids, golds) for items[i], four
+    array('i'): step k has the bucket ids buckets[offsets[k]:offsets[k +
+    1]] of its features, in feature order, the menu menus[menu_ids[k]],
+    and its gold action at index golds[k] of that menu.  A step of about
+    51 features takes about 225 bytes.
+    """
+    menus, menu_ids = [], {}
+    table = []
+    for sentence, dep, seq in items:
+        frags = SentenceFeatures(sentence, dep)
+        c = machine.init(sentence)
+        buckets, offsets = array("i"), array("i", [0])
+        ids, golds = array("i"), array("i")
+        for gold_action in seq:
+            buckets.extend(model.buckets(extract_features(c, dep, frags)))
+            offsets.append(len(buckets))
+            legal = _concrete_candidates(machine, c)
+            if gold_action not in legal:
+                legal.append(gold_action)
+            menu = tuple(legal)
+            mi = menu_ids.get(menu)
+            if mi is None:
+                mi = menu_ids[menu] = len(menus)
+                menus.append(menu)
+            ids.append(mi)
+            golds.append(legal.index(gold_action))
+            c = machine.apply(c, gold_action)
+        table.append((buckets, offsets, ids, golds))
+    return menus, table
 
 
 def _concrete_candidates(machine, c):

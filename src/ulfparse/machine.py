@@ -100,14 +100,6 @@ def arc_action(i: int, direction: str, label: str) -> str:
     return "ARC:%d:%s:%s" % (i, direction, label)
 
 
-def _param_atom(action: str, arg: str) -> Atom:
-    """The atom that a SYMGEN or PROMOTE_SYM parameter spells."""
-    try:
-        return parse_atom(arg)
-    except UlfSyntaxError as e:
-        raise IllegalAction("action %r names no atom: %s" % (action, e)) from e
-
-
 def format_actions(actions) -> str:
     return "\n".join(actions) + "\n"
 
@@ -133,13 +125,30 @@ def parse_action_file(text: str):
     return records
 
 
-def _menu(prefix, vocab):
+def _spells_atom(param: str) -> bool:
+    """Whether a SYMGEN or PROMOTE_SYM parameter spells an atom."""
+    try:
+        parse_atom(param)
+    except UlfSyntaxError:
+        return False
+    return True
+
+
+def _any_param(param: str) -> bool:
+    return True
+
+
+def _menu(prefix, vocab, applies=_any_param):
     """One kind's menu record: (its actions in canonical order, the prefix
-    they share, the allowed parameters).  An open vocabulary (None) lists
-    the "*" marker and allows any parameter."""
+    they share, the test a parameter must pass).  applies accepts the
+    parameters that apply can take, and only those are legal: a closed
+    vocabulary lists its parameters that pass, and an open one (None)
+    lists the "*" marker."""
     if vocab is None:
-        return ((prefix + "*",), prefix, None)
-    return (tuple(sorted(prefix + v for v in vocab)), prefix, frozenset(vocab))
+        return ((prefix + "*",), prefix, applies)
+    params = [v for v in vocab if applies(v)]
+    return (tuple(sorted(prefix + v for v in params)), prefix,
+            frozenset(params).__contains__)
 
 
 # the bare (parameterless) actions a phase can offer, in canonical order
@@ -227,8 +236,8 @@ class Machine:
         self.promote_syms = list(promote_syms) if promote_syms is not None else None
         self.step_cap = step_cap
         # the per-kind menu records; the vocabularies are fixed from here on
-        self._symgen = (_menu("SYMGEN:", self.symgen_vocab),)
-        self._promote_sym = (_menu("PROMOTE_SYM:", self.promote_syms),)
+        self._symgen = (_menu("SYMGEN:", self.symgen_vocab, _spells_atom),)
+        self._promote_sym = (_menu("PROMOTE_SYM:", self.promote_syms, _spells_atom),)
         self._left = _menu(arc_action(0, "left", ""), self.arc_labels)
         self._right = _menu(arc_action(0, "right", ""), self.arc_labels)
         # (menus, bare actions) of the phases whose offer is constant
@@ -300,13 +309,14 @@ class Machine:
 
     def is_legal(self, c: Config, action: str) -> bool:
         """Whether action is one of legal_actions(c), where an open
-        vocabulary's "*" marker admits any concrete parameter."""
+        vocabulary's "*" marker admits any concrete parameter that apply
+        can take: for SYMGEN and PROMOTE_SYM, one that spells an atom."""
         menus, bare = self._offer(c)
         if action in bare:
             return True
-        for _, prefix, params in menus:
+        for _, prefix, allows in menus:
             if action.startswith(prefix):
-                return params is None or action[len(prefix):] in params
+                return allows(action[len(prefix):])
         return False
 
     def _arc_ok(self, c: Config, src: int, dst: int) -> bool:
@@ -346,7 +356,7 @@ class Machine:
                          merged=1, phase=PUSH)
 
         if kind == "SYMGEN":
-            verts = c.verts + (Vertex(_param_atom(action, arg), None),)
+            verts = c.verts + (Vertex(parse_atom(arg), None),)
             return _next(c, action, verts=verts, parents=c.parents + (None,),
                          pending=len(verts) - 1, phase=PUSH)
 
@@ -373,7 +383,7 @@ class Machine:
             return _next(c, action, phase=PROMOTE)
 
         if kind == "PROMOTE_SYM":
-            verts = c.verts + (Vertex(_param_atom(action, arg), None),)
+            verts = c.verts + (Vertex(parse_atom(arg), None),)
             return _next(c, action, verts=verts, parents=c.parents + (None,),
                          promoted=len(verts) - 1, phase=PROMOTEARC)
 

@@ -72,6 +72,38 @@ def test_ingest_bad_gold_ulf(tmp_path):
         ingest(str(p))
 
 
+@pytest.mark.parametrize("line, named", [
+    ("5", "JSON object"), ("[1]", "JSON object"),
+    ('{"id": "x", "tokens": [5], "lemmas": ["a"], "pos": ["X"]}', "'tokens'"),
+    ('{"id": "x", "tokens": "ab", "lemmas": ["a"], "pos": ["X"]}', "'tokens'"),
+    ('{"id": "x", "tokens": ["a"], "lemmas": 1, "pos": ["X"]}', "'lemmas'"),
+    ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": [null]}', "'pos'"),
+    ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"], "ner": null}',
+     "'ner'"),
+    ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"], "deps": 3}',
+     "'deps'"),
+    ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"], "deps": [5]}',
+     "'deps'"),
+    ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"],'
+     ' "deps": [[null, "root"]]}', "'deps'")])
+def test_ingest_malformed_record_names_the_field(tmp_path, line, named):
+    p = tmp_path / "bad.jsonl"
+    p.write_text(line + "\n")
+    with pytest.raises(CorpusError, match="line 1: .*%s" % named):
+        ingest(str(p))
+
+
+def test_record_annotations_are_interned():
+    obj = {"id": "x", "tokens": ["Dogs", "run"], "lemmas": ["dog", "run"],
+           "pos": ["NNS", "VBP"], "ner": ["O", "O"], "deps": [[2, "nsubj"], [0, "root"]]}
+    a, b = record_from_obj(json.loads(json.dumps(obj))), record_from_obj(obj)
+    for ta, tb in zip(a.sentence.tokens, b.sentence.tokens):
+        for name in ("surface", "lemma", "pos", "ner"):
+            assert getattr(ta, name) is getattr(tb, name)
+    assert all(x[1] is y[1] for x, y in zip(a.deps, b.deps))
+    assert not hasattr(a.sentence.tokens[0], "__dict__")
+
+
 def test_record_without_gold_is_fine():
     rec = record_from_obj({"id": "x", "tokens": ["a"], "lemmas": ["a"],
                            "pos": ["X"]})
@@ -454,6 +486,94 @@ def test_replay_of_generated_action_files_ends_cleanly(fuzz_files, records):
     else:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# -- model fuzzing --------------------------------------------------------------
+
+# what a mutation puts in place of a field, a vocabulary entry or a weight
+FUZZ_VALUES = (None, True, 0, -1, 1, 7, 1 << 40, 0.5, float("nan"), float("inf"),
+               "", "x", "1,0", [], [1], ["x"], ["x", "x"], {}, {"a": 1},
+               {"1,0": 1.0})
+FUZZ_KEYS = ("format", "dim", "salt", "averaged", "actions", "vocab", "weights",
+             "extra")
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(fuzz_files):
+    """A one-epoch model of the fuzz corpus as a JSON object, and a corpus
+    of its first sentence to parse with it."""
+    root, corpus, _ = fuzz_files
+    model = root / "model.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["train", corpus, str(model), "--epochs", "1"]) == 0
+    one = root / "one.jsonl"
+    one.write_text(open(corpus).readline())
+    return json.loads(model.read_text()), str(one)
+
+
+_fuzz_model_edit = st.tuples(
+    st.sampled_from(("field", "vocab", "weight", "new weight", "drop")),
+    st.sampled_from(FUZZ_KEYS + ("arc_labels", "symgen")),
+    st.integers(0, 1 << 16), st.sampled_from(FUZZ_VALUES),
+    st.sampled_from(("0,0", "1,0", "0,1", "-1,0", "0,-1", "5", "a,b", "1,2,3",
+                     "262143,0", "262144,0", "0,999", " 1,0")))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_fuzz_model_edit, min_size=1, max_size=3), st.booleans())
+def test_parse_with_generated_models_ends_cleanly(fuzz_model, tmp_path_factory,
+                                                  edits, as_list):
+    # a trained model with fields, vocabulary entries or weights replaced,
+    # added or dropped: parse ends with exit 0 and no message, or exit 1
+    # and one error: line
+    obj, corpus = fuzz_model
+    obj = json.loads(json.dumps(obj))
+    for op, key, pos, value, weight_key in edits:
+        if op == "field":
+            obj[key] = value
+        elif op == "drop":
+            obj.pop(key, None)
+        elif op == "vocab" and isinstance(obj.get("vocab"), dict):
+            obj["vocab"][key] = value
+        elif op == "weight" and isinstance(obj.get("weights"), dict) and obj["weights"]:
+            keys = sorted(obj["weights"])
+            obj["weights"][keys[pos % len(keys)]] = value
+        elif op == "new weight" and isinstance(obj.get("weights"), dict):
+            obj["weights"][weight_key] = value
+    root = tmp_path_factory.mktemp("models")
+    model = root / "model.json"
+    model.write_text(json.dumps([obj] if as_list else obj))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(["parse", corpus, "--model", str(model), "--beam", "1",
+                    "--cap", "60", "-o", str(root / "parsed.txt")])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("actions", 5, "'actions'"), ("weights", [], "'weights'"), ("dim", 0, "'dim'"),
+    ("dim", "a", "'dim'"), ("vocab", {"arc_labels": 5}, "'arc_labels'"),
+    ("salt", None, "'salt'"), ("weights", {"1,0": "x"}, "'weights'"),
+    ("weights", {"1,99999": 1.0}, "'weights'")])
+def test_malformed_model_field_is_named(fuzz_model, tmp_path, capsys, field, value,
+                                        named):
+    obj, corpus = fuzz_model
+    obj = dict(obj, **{field: value})
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj))
+    assert run(["parse", corpus, "--model", str(model), "--beam", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: model field") and named in err[0]
+    for missing in ("actions", "salt", "dim", "weights"):
+        model.write_text(json.dumps({k: v for k, v in fuzz_model[0].items()
+                                     if k != missing}))
+        assert run(["parse", corpus, "--model", str(model)]) == 1
+        assert "model field %r is missing" % missing in capsys.readouterr().err
 
 
 def test_command_line_usage_error_keeps_exit_2(tmp_path, tiny_file, capsys):

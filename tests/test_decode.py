@@ -13,6 +13,8 @@ from ulfparse.core import Sentence, graphs_equal
 from ulfparse.oracle import extract_with_alignment
 from ulfparse.typesys import Lexicon, TypeGrammar, check_arc, type_of
 
+from reference_train import reference_train
+
 
 @pytest.fixture(scope="module")
 def corpus_items():
@@ -106,6 +108,54 @@ def test_train_empty_corpus_rejected():
         dec.train_perceptron([], epochs=1, seed=0)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+def test_step_table_training_equals_reference(corpus_items, seed):
+    # extracting each step once per run leaves the model byte-identical to
+    # the loop that extracts it every epoch: the whole mini corpus, then
+    # seeded subsets, one to four epochs
+    items = [(rec.sentence, rec.deps, acts) for rec, acts in corpus_items]
+    rng = np.random.default_rng(seed)
+    subsets = [items] + [[items[i] for i in sorted(rng.choice(len(items), k, replace=False))]
+                         for k in (1, 3, 8)]
+    gold_actions = {a for _, _, acts in items for a in acts}
+    rivals_added = False
+    for epochs, subset in zip((1, 2, 3, 4), subsets):
+        model, machine = dec.train_perceptron(subset, epochs=epochs, seed=seed)
+        ref, ref_machine = reference_train(subset, epochs=epochs, seed=seed)
+        assert model.to_json() == ref.to_json()
+        assert model.updates == ref.updates
+        assert (machine.arc_labels, machine.suffixes, machine.symgen_vocab,
+                machine.promote_syms) == (ref_machine.arc_labels, ref_machine.suffixes,
+                                          ref_machine.symgen_vocab, ref_machine.promote_syms)
+        rivals_added |= not set(model.actions) <= gold_actions
+    # some update's rival is an action no gold sequence takes
+    assert rivals_added
+    # an open-vocabulary machine, whose menus gain each parameterized gold action
+    model, _ = dec.train_perceptron(items[:5], epochs=2, seed=seed, machine=tm.Machine())
+    ref, _ = reference_train(items[:5], epochs=2, seed=seed, machine=tm.Machine())
+    assert model.to_json() == ref.to_json()
+
+
+def test_step_table_layout(corpus_items):
+    items = [(rec.sentence, rec.deps, acts) for rec, acts in corpus_items[:4]]
+    machine = dec.machine_from_actions([acts for _, _, acts in items])
+    model = dec.PerceptronModel(actions=[], salt=5)
+    menus, table = dec.step_table(model, machine, items)
+    assert len(menus) == len(set(menus)) and len(table) == len(items)
+    for (sentence, dep, acts), (buckets, offsets, menu_ids, golds) in zip(items, table):
+        assert len(offsets) == len(acts) + 1 and offsets[-1] == len(buckets)
+        frags = dec.SentenceFeatures(sentence, dep)
+        c = machine.init(sentence)
+        for k, gold in enumerate(acts):
+            feats = dec.extract_features(c, dep, frags)
+            assert list(buckets[offsets[k]:offsets[k + 1]]) == \
+                [dec._bucket(f, 5, model.dim) for f in feats]
+            legal = menus[menu_ids[k]]
+            assert legal[golds[k]] == gold
+            assert set(dec._concrete_candidates(machine, c)) <= set(legal)
+            c = machine.apply(c, gold)
+
+
 def _assert_per_action_sums(model, scorer, c, feats, legal):
     # bit for bit, -0.0 included: parse files print the score
     got = scorer.score(c, feats, legal)
@@ -143,7 +193,7 @@ def test_one_pass_scores_equal_per_action_sums(trained, corpus_items):
     legal = dec._concrete_candidates(machine, c)
     before = scorer.score(c, feats, legal)
     model.add_action(legal[-1])
-    model.update(feats, legal[0], legal[-1])
+    model.update(model.buckets(feats), legal[0], legal[-1])
     after = scorer.score(c, feats, legal)
     _assert_per_action_sums(model, scorer, c, feats, legal)
     assert after[legal[0]] > before[legal[0]]

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ulfparse import machine as tm
-from ulfparse.core import Sentence
+from ulfparse.core import Sentence, UlfSyntaxError, parse_atom
 
 from goldens import I_RUN_ACTIONS
 from reference_machine import ReferenceLegality
@@ -162,18 +162,24 @@ def test_illegal_actions_raise():
 
 
 def test_symbol_parameter_that_is_no_atom_is_illegal():
-    # an open vocabulary offers any SYMGEN or PROMOTE_SYM parameter, but
-    # one that spells no atom cannot be applied
+    # an open vocabulary offers a SYMGEN or PROMOTE_SYM parameter only if
+    # it spells an atom, as apply needs; a closed one leaves such entries out
     m = tm.Machine()
     c = m.init(sent("shoes", lemmas=["shoe"]))
     for action in ("SYMGEN:", "SYMGEN:|x"):
-        with pytest.raises(tm.IllegalAction, match="names no atom"):
+        assert not m.is_legal(c, action)
+        with pytest.raises(tm.IllegalAction, match="illegal"):
             m.apply(c, action)
+    assert m.is_legal(c, "SYMGEN:|x|") and m.is_legal(c, "SYMGEN:k")
     for a in ["WORDGEN", "LEMMA", "SUFFIX:n", "PUSHIDX:1", "NOARC"]:
         c = m.apply(c, a)
-    assert m.is_legal(c, "PROMOTE_SYM:")
-    with pytest.raises(tm.IllegalAction, match="names no atom"):
+    assert not m.is_legal(c, "PROMOTE_SYM:")
+    with pytest.raises(tm.IllegalAction, match="illegal"):
         m.apply(c, "PROMOTE_SYM:")
+    closed = tm.Machine(symgen_vocab=["", "k", "|x"])
+    c = closed.init(sent("shoes"))
+    assert [a for a in closed.legal_actions(c) if a.startswith("SYMGEN")] == ["SYMGEN:k"]
+    assert not closed.is_legal(c, "SYMGEN:") and not closed.is_legal(c, "SYMGEN:|x")
 
 
 def test_action_text_format():
@@ -298,10 +304,24 @@ def _action_pool(m):
 WALK_POOL = _action_pool(WALK_MACHINE)
 
 
+def _applicable_param(action):
+    """A SYMGEN or PROMOTE_SYM parameter must spell an atom; others are free."""
+    kind, _, param = action.partition(":")
+    if kind not in ("SYMGEN", "PROMOTE_SYM"):
+        return True
+    try:
+        parse_atom(param)
+    except UlfSyntaxError:
+        return False
+    return True
+
+
 def _listed(legal, action):
-    """action is in legal, or matches one of its open-vocabulary markers."""
+    """action is in legal, or matches one of its open-vocabulary markers
+    with a parameter apply can take."""
     return action in legal or any(
-        a.endswith(":*") and action.startswith(a[:-1]) for a in legal)
+        a.endswith(":*") and action.startswith(a[:-1]) for a in legal) \
+        and _applicable_param(action)
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,9 +382,10 @@ def test_legality_table_equals_reference(m, n_words, picks):
     c = m.init(sent(*["New", "York", "is", "big", "."][:n_words]))
     for pick in picks:
         menu = m.legal_actions(c)
-        assert menu == ref.legal_actions(c), c.phase
+        assert menu == [a for a in ref.legal_actions(c) if _applicable_param(a)], c.phase
         for a in LEGALITY_POOL:
-            assert m.is_legal(c, a) == ref.is_legal(c, a), (c.phase, a)
+            want = ref.is_legal(c, a) and _applicable_param(a)
+            assert m.is_legal(c, a) == want, (c.phase, a)
         if not menu or c.steps > 150:
             break
         action = menu[pick % len(menu)]
@@ -372,4 +393,47 @@ def test_legality_table_equals_reference(m, n_words, picks):
             action = action[:-1] + OPEN_PARAMS[pick % len(OPEN_PARAMS)]
             if action == "SYMGEN:" or action == "PROMOTE_SYM:":
                 action += "k"  # an empty atom does not parse
+        c = m.apply(c, action)
+
+
+# -- legal means applicable ------------------------------------------------------
+
+# closed vocabularies with entries that spell no atom, beside the others
+APPLY_MACHINES = LEGALITY_MACHINES + (
+    tm.Machine(arc_labels=[":ARG0"], suffixes=["n"], symgen_vocab=["", "k", "|x"],
+               promote_syms=["pres", "|a", "|b|c"]),)
+APPLY_POOL = LEGALITY_POOL + ["SYMGEN:", "SYMGEN:|x", "SYMGEN:|x|", "SYMGEN:|x|.n",
+                              "SYMGEN:|x|y", "SYMGEN:k", "SYMGEN:.", "SYMGEN:a.",
+                              "PROMOTE_SYM:|a", "PROMOTE_SYM:|b|c", "PROMOTE_SYM:pres",
+                              "SUFFIX:|x", "PROMOTE_ARC:|x", "ARC:0:left:|x"]
+
+
+def _applies(m, c, action):
+    try:
+        m.apply(c, action)
+    except Exception:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(APPLY_MACHINES), st.integers(1, 5),
+       st.lists(st.integers(0, 1 << 30), min_size=30, max_size=120))
+def test_legal_exactly_when_apply_succeeds(m, n_words, picks):
+    # on random walks, for concrete and malformed actions alike, open and
+    # closed vocabularies: is_legal(c, a) holds exactly when apply(c, a)
+    # does not raise, and every concrete action legal_actions offers applies
+    c = m.init(sent(*["New", "York", "is", "big", "."][:n_words]))
+    for pick in picks:
+        menu = m.legal_actions(c)
+        for a in APPLY_POOL + [a for a in menu if not a.endswith(":*")]:
+            assert m.is_legal(c, a) == _applies(m, c, a), (c.phase, a)
+        if not menu or c.steps > 120:
+            break
+        action = menu[pick % len(menu)]
+        if action.endswith(":*"):
+            prefix = action[:-1]
+            action = prefix + OPEN_PARAMS[pick % len(OPEN_PARAMS)]
+            if not m.is_legal(c, action):
+                action = prefix + "k"  # "" spells no atom
         c = m.apply(c, action)
