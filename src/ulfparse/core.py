@@ -154,7 +154,7 @@ def parse_sexpr(text: str) -> UlfTree:
     Whitespace-insensitive.  Pipes group a single name atom even when the
     name contains spaces: ``(|New York| big.a)`` has two children.
     """
-    toks = _tokenize_sexpr(text)
+    toks = _tokenize(text, "()", ";")
     if not toks:
         raise UlfSyntaxError("empty input")
     tree, pos = _parse_tokens(toks, 0)
@@ -163,37 +163,39 @@ def parse_sexpr(text: str) -> UlfTree:
     return tree
 
 
-def _tokenize_sexpr(text: str):
+def _tokenize(text: str, delims, comment):
+    """The tokens of text: each delimiter character alone, and atoms,
+    which run to whitespace or a delimiter and take a |...| group whole,
+    spaces and delimiters included.  A comment runs to the end of its
+    line and gives no token; comment=None allows none."""
     toks = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
         if c.isspace():
             i += 1
-        elif c in "()":
+        elif c in delims:
             toks.append(c)
             i += 1
-        elif c == ";":
+        elif c == comment:
             while i < n and text[i] != "\n":
                 i += 1
         else:
-            j = i
             buf = []
-            while j < n:
-                ch = text[j]
+            while i < n:
+                ch = text[i]
                 if ch == "|":
-                    end = text.find("|", j + 1)
+                    end = text.find("|", i + 1)
                     if end < 0:
                         raise UlfSyntaxError("unterminated pipe")
-                    buf.append(text[j : end + 1])
-                    j = end + 1
-                elif ch.isspace() or ch in "()":
+                    buf.append(text[i : end + 1])
+                    i = end + 1
+                elif ch.isspace() or ch in delims:
                     break
                 else:
                     buf.append(ch)
-                    j += 1
+                    i += 1
             toks.append("".join(buf))
-            i = j
     return toks
 
 
@@ -215,7 +217,7 @@ def _parse_tokens(toks, pos):
 
 def parse_sexpr_stream(text: str) -> list:
     """Parse consecutive s-expressions (one per line or blank-separated)."""
-    toks = _tokenize_sexpr(text)
+    toks = _tokenize(text, "()", ";")
     out, pos = [], 0
     while pos < len(toks):
         tree, pos = _parse_tokens(toks, pos)
@@ -438,7 +440,7 @@ def parse_penman(text: str) -> UlfGraph:
 
     Node labels may contain |...| groups with internal spaces.
     """
-    toks = _tokenize_penman(text)
+    toks = _tokenize(text, "()/", None)
     if not toks:
         raise UlfSyntaxError("empty penman input")
     pos = [0]
@@ -483,35 +485,6 @@ def parse_penman(text: str) -> UlfGraph:
         root=var_ids[root_var],
     )
     return g.validate()
-
-
-def _tokenize_penman(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()/":
-            toks.append(c)
-            i += 1
-        else:
-            buf = []
-            while i < n:
-                ch = text[i]
-                if ch == "|":
-                    end = text.find("|", i + 1)
-                    if end < 0:
-                        raise UlfSyntaxError("unterminated pipe")
-                    buf.append(text[i : end + 1])
-                    i = end + 1
-                elif ch.isspace() or ch in "()/":
-                    break
-                else:
-                    buf.append(ch)
-                    i += 1
-            toks.append("".join(buf))
-    return toks
 
 
 def graphs_equal(a: UlfGraph, b: UlfGraph) -> bool:

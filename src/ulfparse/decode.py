@@ -1,12 +1,13 @@
 """Beam-search decoding with a pluggable scorer.
 
-The scorer interface is ``score(config, features, legal) -> {action:
-log-weight}``, where features is the tuple of binary feature strings that
-extract_features gives the configuration: a feature is present or
-absent, and has no value.  Implementations: an averaged perceptron over
-these transition-state features, an oracle-following scorer for testing,
-a seeded random scorer for baselines, and a line-protocol client for
-external scorer processes.
+The scorer interface is ``score(config, features, legal) -> list``: one
+log-weight per legal action, in the order of legal.  features is the
+tuple of binary feature strings that extract_features gives the
+configuration: a feature is present or absent, and has no value.
+Implementations: an averaged perceptron over these transition-state
+features, an oracle-following scorer for testing, a seeded random
+scorer for baselines, and a line-protocol client for external scorer
+processes.
 
 Decoding applies two optional constraints: a lexicon restricting which
 word-anchored symbols may be generated, and a type-composition filter
@@ -26,7 +27,7 @@ import time
 import zlib
 from array import array
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import repeat
 
 import numpy as np
 
@@ -371,51 +372,23 @@ class PerceptronModel:
     def __post_init__(self):
         self.action_ids = {a: i for i, a in enumerate(self.actions)}
         self._bucket_of = {}  # feature -> bucket, memoized crc32
-        self._dense_of = {}   # feature -> dense row of its bucket, or None
 
     def add_action(self, action):
         if action not in self.action_ids:
             self.action_ids[action] = len(self.actions)
             self.actions.append(action)
-            self._dense_of.clear()
 
     def buckets(self, features):
         memo = self._bucket_of
         if len(memo) > BUCKET_MEMO_SIZE:
             memo.clear()
         try:
-            return [memo[f] for f in features]
+            return list(map(memo.__getitem__, features))
         except KeyError:
             for f in features:
                 if f not in memo:
                     memo[f] = _bucket(f, self.salt, self.dim)
-            return [memo[f] for f in features]
-
-    def dense_rows(self, features) -> list:
-        """The weight row of each feature's bucket, in feature order, as a
-        list over the action ids with 0.0 where the row has no weight;
-        buckets without a row are left out.  A feature's list is kept (up
-        to BUCKET_MEMO_SIZE features) until update, finalize or add_action
-        changes the weights or the actions."""
-        table = self._dense_of
-        try:
-            rows = [table[f] for f in features]
-        except KeyError:
-            if len(table) > BUCKET_MEMO_SIZE:
-                table.clear()
-            missing = [f for f in features if f not in table]
-            n = len(self.actions)
-            for f, b in zip(missing, self.buckets(missing)):
-                row = self.weights.get(b)
-                dense = None
-                if row:
-                    dense = [0.0] * n
-                    for ai, w in row.items():
-                        if 0 <= ai < n:  # other ids are never read
-                            dense[ai] = w
-                table[f] = dense
-            rows = [table[f] for f in features]
-        return list(filter(None, rows))
+            return list(map(memo.__getitem__, features))
 
     def score_buckets(self, buckets, action):
         ai = self.action_ids.get(action)
@@ -427,20 +400,22 @@ class PerceptronModel:
     def score_actions(self, buckets, actions) -> list:
         """score_buckets of every action, looking each bucket's row up once.
 
-        Each action's terms are the same weights in the same bucket
-        order, added by the same builtin sum, so every score is
-        bit-identical to score_buckets'.
+        Each action's sum leaves out the buckets without a row, the rows
+        without the action and the weights that are zero.  That changes
+        no bit: the running sum starts at +0.0 and can never become -0.0,
+        and adding a zero to any other value returns it.  The other terms
+        are the same weights in the same bucket order.
         """
-        rows = [self.weights.get(b, _NO_ROW) for b in buckets]
+        rows = list(filter(None, map(self.weights.get, buckets)))
         ids = self.action_ids
+        get = dict.get
         return [0.0 if (ai := ids.get(a)) is None
-                else sum([row.get(ai, 0.0) for row in rows])
+                else sum(filter(None, map(get, rows, repeat(ai))), 0.0)
                 for a in actions]
 
     def update(self, buckets, gold_action, pred_action):
         """One perceptron step on a configuration's bucket ids (buckets)."""
         self.updates += 1
-        self._dense_of.clear()
         t = self.updates
         gold, pred = self.action_ids[gold_action], self.action_ids[pred_action]
         for b in buckets:
@@ -461,7 +436,6 @@ class PerceptronModel:
             for ai, tot in trow.items():
                 wrow[ai] = wrow[ai] - tot / steps
         self.totals = {}
-        self._dense_of.clear()
         self.averaged = True
 
     def to_json(self) -> str:
@@ -523,7 +497,7 @@ class PerceptronModel:
             rows.setdefault(b, {})[a] = v
         return model
 
-    def make_machine(self, step_cap=tm.DEFAULT_STEP_CAP) -> tm.Machine:
+    def make_machine(self) -> tm.Machine:
         """A decode machine over this model's training vocabularies."""
         if not self.vocab:
             raise ValueError("model carries no machine vocabularies")
@@ -531,8 +505,7 @@ class PerceptronModel:
             arc_labels=self.vocab.get("arc_labels", []),
             suffixes=self.vocab.get("suffixes", []),
             symgen_vocab=self.vocab.get("symgen", []),
-            promote_syms=self.vocab.get("promote", []),
-            step_cap=step_cap)
+            promote_syms=self.vocab.get("promote", []))
 
 
 def _model_field(obj, name, kind, *default):
@@ -553,7 +526,7 @@ def _strings(values):
     return all(isinstance(v, str) for v in values)
 
 
-def machine_from_actions(action_seqs, step_cap=tm.DEFAULT_STEP_CAP) -> tm.Machine:
+def machine_from_actions(action_seqs) -> tm.Machine:
     """Build a decode-time machine whose vocabularies cover the training
     action sequences."""
     arc_labels, suffixes, symgen, promote = set(), set(), set(), set()
@@ -572,8 +545,7 @@ def machine_from_actions(action_seqs, step_cap=tm.DEFAULT_STEP_CAP) -> tm.Machin
                 promote.add(a.split(":", 1)[1])
     return tm.Machine(
         arc_labels=sorted(arc_labels), suffixes=sorted(suffixes),
-        symgen_vocab=sorted(symgen), promote_syms=sorted(promote),
-        step_cap=step_cap)
+        symgen_vocab=sorted(symgen), promote_syms=sorted(promote))
 
 
 def train_perceptron(items, epochs=5, seed=0, machine=None, dim=1 << 18):
@@ -685,38 +657,35 @@ class OracleScorer:
 
     def score(self, c, features, legal):
         target = self.actions[c.steps] if c.steps < len(self.actions) else None
-        return {a: (0.0 if a == target else -1e9) for a in legal}
+        return [0.0 if a == target else -1e9 for a in legal]
 
 
 class PerceptronScorer:
-    """Scores with a PerceptronModel: one score per legal action, the
-    same bits as PerceptronModel.score_buckets gives it.
+    """Scores with a PerceptronModel: the list PerceptronModel.score_actions
+    gives the configuration's buckets and the legal actions, the same
+    bits per action as score_buckets.
 
     Beam items with different histories often reach configurations with
     the same features and the same menu (42% of the calls of a benchmark
-    parse pass repeat one), so scores are memoized per (features, legal),
-    up to SCORE_MEMO_SIZE entries before the memo starts over.  It starts
-    over whenever the model was updated, averaged or given an action
-    since the last call, since its weights change only then, and with
-    each new sentence, since repeats seldom cross sentences.
-
-    The model's dense rows (PerceptronModel.dense_rows), transposed, give
-    each legal action its weights in feature order, with 0.0 where a row
-    has no weight for it and without the buckets that have no row.  The
-    sum is the same to the bit: it starts at +0.0, can never become
-    -0.0, and adding 0.0 to any other value returns that value.
+    parse pass repeat one), so score lists are memoized per (features,
+    legal), up to SCORE_MEMO_SIZE entries before the memo starts over.
+    It starts over whenever the model was updated or averaged since the
+    last call, since the weights change only then (add_action alone
+    changes no score), and with each new sentence, since repeats seldom
+    cross sentences.  A returned list is shared with the memo: never
+    change one.
     """
 
     def __init__(self, model: PerceptronModel):
         self.model = model
         self._memo = {}      # (features, legal) -> scores
-        self._version = None  # (updates, averaged, actions) of the memo
+        self._version = None  # (updates, averaged) of the memo
         self._sentence = None
 
     def score(self, c, features, legal):
         model = self.model
         memo = self._memo
-        version = (model.updates, model.averaged, len(model.actions))
+        version = (model.updates, model.averaged)
         if version != self._version or c.sentence is not self._sentence \
                 or len(memo) >= SCORE_MEMO_SIZE:
             memo.clear()
@@ -724,23 +693,8 @@ class PerceptronScorer:
         key = (features, tuple(legal))
         scores = memo.get(key)
         if scores is None:
-            scores = memo[key] = self._dense_scores(features, legal)
-        return dict(zip(legal, scores))
-
-    def _dense_scores(self, features, legal):
-        rows = self.model.dense_rows(features)
-        ids = self.model.action_ids
-        known = [ai for ai in map(ids.get, legal) if ai is not None]
-        if not rows or not known:
-            sums = [0.0] * len(known)
-        elif len(known) == 1:
-            sums = [sum(map(itemgetter(known[0]), rows), 0.0)]
-        else:
-            sums = [sum(col, 0.0) for col in zip(*map(itemgetter(*known), rows))]
-        if len(known) == len(legal):
-            return sums
-        sums = iter(sums)
-        return [next(sums) if a in ids else 0.0 for a in legal]
+            scores = memo[key] = model.score_actions(model.buckets(features), legal)
+        return scores
 
 
 class RandomScorer:
@@ -750,11 +704,9 @@ class RandomScorer:
         self.seed = seed
 
     def score(self, c, features, legal):
-        return {
-            a: zlib.crc32(("%d|%d|%s" % (self.seed, c.steps, a)).encode())
-            / 0xFFFFFFFF
-            for a in legal
-        }
+        return [zlib.crc32(("%d|%d|%s" % (self.seed, c.steps, a)).encode())
+                / 0xFFFFFFFF
+                for a in legal]
 
 
 class ExternalScorerError(RuntimeError):
@@ -767,9 +719,10 @@ class ExternalScorer:
     Each message is a header line with the decimal byte length of the
     UTF-8 JSON payload, then the payload itself followed by a newline.
     Requests carry {"features": {feature: 1.0}, "legal": [...]};
-    responses carry {"scores": {action: weight}} with finite weights.  A
-    reply that does not arrive whole within the timeout, or breaks the
-    framing, raises ExternalScorerError and stops the process.
+    responses carry {"scores": {action: weight}} with finite weights,
+    where a legal action the reply leaves out weighs 0.0.  A reply that
+    does not arrive whole within the timeout, or breaks the framing,
+    raises ExternalScorerError and stops the process.
     """
 
     def __init__(self, argv, timeout=EXTERNAL_TIMEOUT):
@@ -839,10 +792,10 @@ class ExternalScorer:
         body = self._roundtrip(req)
         try:
             scores = json.loads(body)["scores"]
-            out = {a: float(scores.get(a, 0.0)) for a in legal}
+            out = [float(scores.get(a, 0.0)) for a in legal]
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise ExternalScorerError("bad external scorer response: %s" % e)
-        if not all(math.isfinite(v) for v in out.values()):
+        if not all(map(math.isfinite, out)):
             raise ExternalScorerError("external scorer sent a non-finite score")
         return out
 
@@ -868,24 +821,22 @@ class DecodeResult:
     finished: bool
 
 
-def _log_softmax(scores: dict) -> dict:
+def _log_softmax(scores: list) -> list:
     """Normalize raw scorer outputs into per-step log-probabilities.
 
     Cumulative beam scores then decrease monotonically, so loops cannot
     outscore finished parses.
     """
     if not scores:
-        return scores
-    if len(scores) == 1:
+        return []
+    if len(scores) == 1 and math.isfinite(scores[0]):
         # what numpy gives for one finite score: (v - v) - log(exp(0.0))
-        (a, v), = scores.items()
-        if math.isfinite(v):
-            return {a: 0.0}
+        return [0.0]
     # the ufuncs that vals.max() and .sum() call, without their wrappers
-    vals = np.fromiter(scores.values(), float, len(scores))
+    vals = np.fromiter(scores, float, len(scores))
     vals -= np.maximum.reduce(vals)
     logz = np.log(np.add.reduce(np.exp(vals)))
-    return dict(zip(scores, (vals - logz).tolist()))
+    return (vals - logz).tolist()
 
 
 def _vertex_types(item, grammar):
@@ -900,22 +851,25 @@ _SUFFIX_PHASES = (tm.NAMEGEN, tm.LEMMAGEN, tm.TOKENGEN)
 _ARC_PHASES = (tm.ARC, tm.PROMOTEARC)  # the only phases offering arc actions
 
 
-def _type_filtered(c, types, action):
+def _type_filtered(c, types, action, verdicts):
     """Type-composition veto for arc actions; returns the types after
-    action, or None when the arc is vetoed."""
+    action, or None when the arc is vetoed.  The veto depends on the
+    arc's direction, not its label, so verdicts, {(head, dep): types
+    after}, keeps each one given in c."""
     kind = tm.action_kind(action)
     if kind == "ARC":
         _, direction, _ = tm.parse_arc_action(action)
         l, r = c.cache
-        head, dep = (r, l) if direction == "left" else (l, r)
+        ends = (r, l) if direction == "left" else (l, r)
     elif kind == "PROMOTE_ARC":
-        head, dep = c.promoted, c.cache[1]
+        ends = (c.promoted, c.cache[1])
     else:
         return types
-    ok, new_type = check_arc(types[head], types[dep])
-    if not ok:
-        return None
-    return types[:head] + (new_type,) + types[head + 1:]
+    if ends not in verdicts:
+        head, dep = ends
+        ok, new_type = check_arc(types[head], types[dep])
+        verdicts[ends] = types[:head] + (new_type,) + types[head + 1:] if ok else None
+    return verdicts[ends]
 
 
 def _lexicon_filtered(machine, c, actions, lexicon):
@@ -951,7 +905,9 @@ def beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
     supplied.  Every (item, action) pair is scored first, and only the
     beam_size best are applied.  Items ranked by (-score, rank); rank is
     the path of action indices, which breaks ties deterministically.
-    Items reaching the cap are finalized as-is.
+    Items reaching the cap are finalized as-is.  A finished item has no
+    descendants, so its rank is no prefix of another item's: any two
+    ranks compared differ before the shorter one ends.
 
     The search stops once the best finished item ranks before every live
     one.  That is exact: per-step scores are log-probabilities (<= 0), so
@@ -967,12 +923,9 @@ def beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
         live = []
         for item in beam:
             c = item.config
-            terminal = machine.is_terminal(c)
-            if terminal or c.steps >= cap:
-                done = BeamItem(c, item.score, item.history, item.types,
-                                item.rank + ((0,) if terminal else (1,)))
-                if best is None or _rank_key(done) < _rank_key(best):
-                    best = done
+            if machine.is_terminal(c) or c.steps >= cap:
+                if best is None or _rank_key(item) < _rank_key(best):
+                    best = item
             else:
                 live.append(item)
         if best is not None and all(_rank_key(best) < _rank_key(it) for it in live):
@@ -983,16 +936,21 @@ def beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
             legal = _concrete_candidates(machine, c)  # in canonical order
             legal = _lexicon_filtered(machine, c, legal, lexicon)
             feats = extract_features(c, dep, frags)
-            scores = _log_softmax(scorer.score(c, feats, legal))
+            scores = scorer.score(c, feats, legal)
+            if len(scores) != len(legal):
+                raise ValueError("scorer gave %d scores for %d legal actions"
+                                 % (len(scores), len(legal)))
+            scores = _log_softmax(scores)
             types = _vertex_types(item, grammar) if grammar is not None else item.types
             vetoing = grammar is not None and c.phase in _ARC_PHASES
-            for ai, action in enumerate(legal):
+            verdicts = {}
+            for ai, (action, step_score) in enumerate(zip(legal, scores)):
                 new_types = types
                 if vetoing:
-                    new_types = _type_filtered(c, types, action)
+                    new_types = _type_filtered(c, types, action, verdicts)
                     if new_types is None:
                         continue  # vetoed: not added to the search beam
-                score = item.score + scores.get(action, 0.0)
+                score = item.score + step_score
                 candidates.append((-score, item.rank, ai, score, item, action,
                                    new_types))
         if not candidates:

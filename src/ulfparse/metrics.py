@@ -36,7 +36,6 @@ def _as_fragments(g) -> list[UlfGraph]:
 class TripleSet:
     instances: list          # (var, label)
     relations: list          # (role, var, var)
-    roots: list              # var designations, not scored
 
     @property
     def size(self) -> int:
@@ -44,16 +43,14 @@ class TripleSet:
 
     @classmethod
     def from_graph(cls, g, prefix="a") -> "TripleSet":
-        instances, relations, roots = [], [], []
+        instances, relations = [], []
         for fi, frag in enumerate(_as_fragments(g)):
             var = lambda v: "%s%d_%d" % (prefix, fi, v)
             for vid, vert in enumerate(frag.vertices):
                 instances.append((var(vid), vert.symbol.render()))
             for src, dst, lab in frag.edges:
                 relations.append((lab, var(src), var(dst)))
-            if frag.vertices:
-                roots.append(var(frag.root))
-        return cls(instances, relations, roots)
+        return cls(instances, relations)
 
 
 def best_mapping(cand: TripleSet, gold: TripleSet, restarts=4, seed=0):

@@ -646,6 +646,24 @@ def test_parse_external_scorer_that_exits_at_once(tmp_path, tiny_file,
     assert len(err) == 1 and err[0].startswith("error: external scorer")
 
 
+def test_parse_scorer_reply_of_wrong_length_is_one_error_line(
+        tmp_path, tiny_file, capsys, monkeypatch):
+    from ulfparse import decode as dec
+    model = tmp_path / "model.json"
+    assert run(["train", tiny_file, str(model), "--epochs", "1",
+                "--seed", "0"]) == 0
+    # a scorer that leaves out the last legal action
+    scored = dec.RandomScorer.score
+    monkeypatch.setattr(dec.RandomScorer, "score",
+                        lambda self, c, features, legal:
+                        scored(self, c, features, legal)[:-1])
+    capsys.readouterr()
+    assert run(["parse", tiny_file, "--model", str(model),
+                "--scorer", "random", "-o", str(tmp_path / "parsed.txt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: scorer gave ")
+
+
 def test_ingest_dep_head_out_of_range(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text(json.dumps({"id": "x", "tokens": ["a"], "lemmas": ["a"],

@@ -160,14 +160,14 @@ def _assert_per_action_sums(model, scorer, c, feats, legal):
     # bit for bit, -0.0 included: parse files print the score
     got = scorer.score(c, feats, legal)
     buckets = model.buckets(feats)
-    assert [repr(got[a]) for a in legal] == \
+    assert [repr(s) for s in got] == \
         [repr(model.score_buckets(buckets, a)) for a in legal]
     assert [repr(s) for s in model.score_actions(buckets, legal)] == \
         [repr(model.score_buckets(buckets, a)) for a in legal]
 
 
 def test_one_pass_scores_equal_per_action_sums(trained, corpus_items):
-    # each configuration is scored from the dense rows, then again from
+    # each configuration is scored from the weight rows, then again from
     # the memo
     trained_model, machine = trained
     untrained = dec.PerceptronModel(actions=list(trained_model.actions))
@@ -196,8 +196,50 @@ def test_one_pass_scores_equal_per_action_sums(trained, corpus_items):
     model.update(model.buckets(feats), legal[0], legal[-1])
     after = scorer.score(c, feats, legal)
     _assert_per_action_sums(model, scorer, c, feats, legal)
-    assert after[legal[0]] > before[legal[0]]
-    assert after[legal[-1]] < before[legal[-1]]
+    assert after[0] > before[0]
+    assert after[-1] < before[-1]
+
+
+def test_add_action_alone_keeps_memoized_scores(trained, corpus_items):
+    # a new action has no weight yet, so no score changes and the memo stays
+    model = dec.PerceptronModel.from_json(trained[0].to_json())
+    machine = trained[1]
+    scorer = dec.PerceptronScorer(model)
+    rec, actions = corpus_items[1]
+    calls = []
+    c = machine.init(rec.sentence)
+    for gold in actions:
+        feats = dec.extract_features(c, rec.deps)
+        legal = dec._concrete_candidates(machine, c) + ["NO-SUCH-ACTION"]
+        calls.append((c, feats, legal, scorer.score(c, feats, legal)))
+        c = machine.apply(c, gold)
+    memo = dict(scorer._memo)
+    model.add_action("NO-SUCH-ACTION")
+    model.add_action(actions[0])  # known already: no change at all
+    for c, feats, legal, want in calls:
+        got = scorer.score(c, feats, legal)
+        assert got is want
+        assert [repr(s) for s in model.score_actions(model.buckets(feats), legal)] \
+            == [repr(s) for s in want]
+    assert scorer._memo == memo
+    assert all(scorer._memo[k] is v for k, v in memo.items())
+
+
+WEIGHTS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300]))
+
+
+@given(st.dictionaries(st.integers(0, 6), st.dictionaries(st.integers(0, 3), WEIGHTS,
+                                                          max_size=4), max_size=6),
+       st.lists(st.integers(0, 8), max_size=12),
+       st.lists(st.sampled_from(["A", "B", "C", "D", "UNKNOWN"]), max_size=5))
+def test_score_actions_equals_score_buckets(weights, buckets, actions):
+    # empty rows, missing actions, zero and -0.0 weights, repeated buckets;
+    # score_buckets gives the int 0 for an action without terms
+    model = dec.PerceptronModel(actions=["A", "B", "C", "D"])
+    model.weights = weights
+    assert [repr(s) for s in model.score_actions(buckets, actions)] == \
+        [repr(float(model.score_buckets(buckets, a))) for a in actions]
 
 
 def test_bucket_memo_stays_bounded_and_exact(corpus_items, monkeypatch):
@@ -261,6 +303,20 @@ def test_oracle_scorer_replays_gold_everywhere(corpus_items):
         assert graphs_equal(res.fragments[0], rec.gold_graph)
 
 
+@pytest.mark.parametrize("change", [lambda s: s[:-1], lambda s: s + [0.0]],
+                         ids=["leaves-one-out", "one-too-many"])
+def test_scorer_reply_of_wrong_length_raises(change):
+    class Miscounting(dec.RandomScorer):
+        def score(self, c, features, legal):
+            return change(super().score(c, features, legal))
+
+    s = Sentence.make(["a", "b"])
+    m = tm.Machine(arc_labels=[":ARG0"], suffixes=["n"], symgen_vocab=["k"],
+                   promote_syms=["pres"])
+    with pytest.raises(ValueError, match="scorer gave [0-9]+ scores for [0-9]+ legal"):
+        dec.beam_decode(s, Miscounting(7), m, beam_size=2, cap=50)
+
+
 def test_random_scorer_deterministic():
     s = Sentence.make(["a", "b"])
     m = tm.Machine(arc_labels=[":ARG0"], suffixes=["n"], symgen_vocab=["k"],
@@ -295,7 +351,7 @@ def test_external_scorer_echo():
         m = tm.Machine()
         c = m.init(Sentence.make(["a"]))
         scores = scorer.score(c, ("f",), ["WORDGEN", "SKIP"])
-        assert scores == {"SKIP": 0.0, "WORDGEN": 1.0}
+        assert scores == [1.0, 0.0]
     finally:
         scorer.close()
 
@@ -332,8 +388,7 @@ def test_external_scorer_counts_reply_bytes():
     try:
         c = tm.Machine().init(Sentence.make(["a"]))
         for _ in range(2):
-            assert scorer.score(c, ("f",), ["WORDGEN", "SKIP"]) == \
-                {"SKIP": 0.0, "WORDGEN": 1.0}
+            assert scorer.score(c, ("f",), ["WORDGEN", "SKIP"]) == [1.0, 0.0]
     finally:
         scorer.close()
 
@@ -464,6 +519,27 @@ def test_type_constraint_vetoes_bad_arcs(trained, corpus_items):
             c = c2
 
 
+def test_type_veto_checks_each_arc_direction_once(trained, corpus_items,
+                                                   monkeypatch):
+    # the veto depends on the arc's ends, not its label: at most one
+    # check_arc per direction for each item expanded in an arc phase
+    model, machine = trained
+    calls, arc_phases = [], []
+    monkeypatch.setattr(dec, "check_arc",
+                        lambda *args: calls.append(args) or check_arc(*args))
+
+    class PhaseCounting(dec.PerceptronScorer):
+        def score(self, c, features, legal):
+            arc_phases.append(c.phase)
+            return super().score(c, features, legal)
+
+    for rec, _ in corpus_items[:6]:
+        dec.beam_decode(rec.sentence, PhaseCounting(model), machine,
+                        beam_size=10, grammar=TypeGrammar.default(), dep=rec.deps)
+    assert calls
+    assert len(calls) <= 2 * arc_phases.count(tm.ARC) + arc_phases.count(tm.PROMOTEARC)
+
+
 SCORES = st.one_of(st.floats(-1e6, 1e6), st.integers(-3, 3).map(float),
                    st.sampled_from([0.0, -0.0, 1e-300, -1e-300]))
 
@@ -471,14 +547,12 @@ SCORES = st.one_of(st.floats(-1e6, 1e6), st.integers(-3, 3).map(float),
 @given(st.lists(SCORES, min_size=1, max_size=30))
 def test_log_softmax_equals_numpy_formula(values):
     # every bit of the normalization as first written
-    scores = {"a%d" % i: v for i, v in enumerate(values)}
-    vals = np.array(list(scores.values()), dtype=float)
+    vals = np.array(values, dtype=float)
     vals -= vals.max()
     logz = np.log(np.exp(vals).sum())
-    want = {a: float(v - logz) for a, v in zip(scores.keys(), vals)}
-    got = dec._log_softmax(scores)
-    assert list(got) == list(want)
-    assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]
+    want = [float(v - logz) for v in vals]
+    got = dec._log_softmax(values)
+    assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
 def test_oracle_equals_gold_with_constraints_off(trained, corpus_items):
@@ -568,7 +642,7 @@ def _reference_beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
             legal = dec._concrete_candidates(machine, c)
             legal = dec._lexicon_filtered(machine, c, legal, lexicon)
             feats = dec.extract_features(c, dep)
-            scores = dec._log_softmax(scorer.score(c, feats, legal))
+            scores = dict(zip(legal, dec._log_softmax(scorer.score(c, feats, legal))))
             for ai, action in enumerate(sorted(legal, key=tm.action_sort_key)):
                 types = item.types
                 if grammar is not None:
@@ -577,7 +651,7 @@ def _reference_beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
                         continue
                 candidates.append(dec.BeamItem(
                     machine.apply(c, action),
-                    item.score + scores.get(action, 0.0),
+                    item.score + scores[action],
                     item.history + (action,),
                     types,
                     item.rank + (ai,),
@@ -611,7 +685,7 @@ class _UniformScorer:
     """Equal scores: many ties, which only the ranks break."""
 
     def score(self, c, features, legal):
-        return {a: 0.0 for a in legal}
+        return [0.0] * len(legal)
 
 
 @settings(max_examples=50, deadline=None)
@@ -640,7 +714,7 @@ class _TieScorer:
 
     def score(self, c, features, legal):
         first = ("MERGEBUF", "SKIP") if c.steps == 0 else ("SKIP",)
-        return {a: 0.0 if a in first else -1e9 for a in legal}
+        return [0.0 if a in first else -1e9 for a in legal]
 
 
 def test_early_stop_breaks_score_ties_by_rank():
