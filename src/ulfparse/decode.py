@@ -3,7 +3,9 @@
 The scorer interface is ``score(config, features, legal) -> list``: one
 log-weight per legal action, in the order of legal.  features is the
 tuple of binary feature strings that extract_features gives the
-configuration: a feature is present or absent, and has no value.
+configuration: a feature is present or absent, and has no value.  A
+scorer whose forced_moves_free is true promises a finite reply without
+side effects to a one-action menu, so the beam need not ask it.
 Implementations: an averaged perceptron over these transition-state
 features, an oracle-following scorer for testing, a seeded random
 scorer for baselines, and a line-protocol client for external scorer
@@ -347,6 +349,13 @@ BUCKET_MEMO_SIZE = 1 << 14
 # 2 kB each with the feature strings their keys hold; a benchmark parse
 # sentence makes 300-1,300 distinct calls at beam 10
 SCORE_MEMO_SIZE = 1 << 12
+# a score adds one weight per feature, far fewer than 2**23 of them, so
+# weights below this in magnitude give finite scores only
+WEIGHT_BOUND = 2.0 ** 1000
+
+
+def _bounded(w):
+    return -WEIGHT_BOUND < w < WEIGHT_BOUND  # False for NaN
 
 
 @dataclass
@@ -358,6 +367,12 @@ class PerceptronModel:
     vocab carries the decode-time machine vocabularies (arc labels,
     suffixes, symbol and promote inventories) harvested from training,
     so a saved model parses corpora without gold annotations.
+
+    weights_bounded tells whether every weight is finite and below
+    WEIGHT_BOUND in magnitude, so that every score is finite.  It is
+    decided where weights enter the model, in the constructor and
+    from_json.  update moves a weight by 1.0 and finalize averages it,
+    which keeps a bounded weight bounded in any run that can finish.
     """
 
     actions: list
@@ -372,6 +387,8 @@ class PerceptronModel:
     def __post_init__(self):
         self.action_ids = {a: i for i, a in enumerate(self.actions)}
         self._bucket_of = {}  # feature -> bucket, memoized crc32
+        self.weights_bounded = all(_bounded(w) for row in self.weights.values()
+                                   for w in row.values())
 
     def add_action(self, action):
         if action not in self.action_ids:
@@ -495,6 +512,8 @@ class PerceptronModel:
                 raise ValueError("model field 'weights' has a bad entry %r: %r"
                                  % (key, v))
             rows.setdefault(b, {})[a] = v
+            if not _bounded(v):
+                model.weights_bounded = False
         return model
 
     def make_machine(self) -> tm.Machine:
@@ -652,6 +671,8 @@ class OracleScorer:
     argmax, and any deviation is penalized enough that beams of any width
     reduce to replay."""
 
+    forced_moves_free = True
+
     def __init__(self, actions):
         self.actions = list(actions)
 
@@ -665,11 +686,13 @@ class PerceptronScorer:
     gives the configuration's buckets and the legal actions, the same
     bits per action as score_buckets.
 
-    Beam items with different histories often reach configurations with
-    the same features and the same menu (42% of the calls of a benchmark
-    parse pass repeat one), so score lists are memoized per (features,
-    legal), up to SCORE_MEMO_SIZE entries before the memo starts over.
-    It starts over whenever the model was updated or averaged since the
+    forced_moves_free is the model's weights_bounded: with bounded
+    weights every score is finite, and the beam calls the scorer only for
+    menus of two or more actions.  Beam items with different histories
+    often reach configurations with the same features and the same menu
+    (42% of the calls of a benchmark parse pass repeat one), so score
+    lists are memoized per (features, legal), up to SCORE_MEMO_SIZE
+    entries before the memo starts over.  It starts over whenever the model was updated or averaged since the
     last call, since the weights change only then (add_action alone
     changes no score), and with each new sentence, since repeats seldom
     cross sentences.  A returned list is shared with the memo: never
@@ -681,6 +704,10 @@ class PerceptronScorer:
         self._memo = {}      # (features, legal) -> scores
         self._version = None  # (updates, averaged) of the memo
         self._sentence = None
+
+    @property
+    def forced_moves_free(self):
+        return self.model.weights_bounded
 
     def score(self, c, features, legal):
         model = self.model
@@ -699,6 +726,8 @@ class PerceptronScorer:
 
 class RandomScorer:
     """Deterministic pseudo-random scores: a uniform-random-legal baseline."""
+
+    forced_moves_free = True
 
     def __init__(self, seed=0):
         self.seed = seed
@@ -719,10 +748,12 @@ class ExternalScorer:
     Each message is a header line with the decimal byte length of the
     UTF-8 JSON payload, then the payload itself followed by a newline.
     Requests carry {"features": {feature: 1.0}, "legal": [...]};
-    responses carry {"scores": {action: weight}} with finite weights,
-    where a legal action the reply leaves out weighs 0.0.  A reply that
-    does not arrive whole within the timeout, or breaks the framing,
-    raises ExternalScorerError and stops the process.
+    responses carry {"scores": {action: weight}} with a finite weight for
+    every legal action.  A reply that does not arrive whole within the
+    timeout, or breaks the framing, raises ExternalScorerError and stops
+    the process; one that leaves out a legal action raises it too.  The
+    other process sees every request, so the beam sends one for each
+    menu, one-action menus included.
     """
 
     def __init__(self, argv, timeout=EXTERNAL_TIMEOUT):
@@ -792,9 +823,15 @@ class ExternalScorer:
         body = self._roundtrip(req)
         try:
             scores = json.loads(body)["scores"]
-            out = [float(scores.get(a, 0.0)) for a in legal]
-        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            if not isinstance(scores, dict):
+                raise TypeError("scores is not a map")
+            out = [float(scores[a]) for a in legal if a in scores]
+        except (ValueError, KeyError, TypeError) as e:
             raise ExternalScorerError("bad external scorer response: %s" % e)
+        if len(out) < len(legal):
+            missing = next(a for a in legal if a not in scores)
+            raise ExternalScorerError(
+                "external scorer left out the legal action %r" % missing)
         if not all(map(math.isfinite, out)):
             raise ExternalScorerError("external scorer sent a non-finite score")
         return out
@@ -849,19 +886,21 @@ def _vertex_types(item, grammar):
 
 _SUFFIX_PHASES = (tm.NAMEGEN, tm.LEMMAGEN, tm.TOKENGEN)
 _ARC_PHASES = (tm.ARC, tm.PROMOTEARC)  # the only phases offering arc actions
+_LEFT_ARC = tm.arc_action(0, "left", "")    # prefixes of the ARC menus
+_RIGHT_ARC = tm.arc_action(0, "right", "")
 
 
 def _type_filtered(c, types, action, verdicts):
     """Type-composition veto for arc actions; returns the types after
     action, or None when the arc is vetoed.  The veto depends on the
     arc's direction, not its label, so verdicts, {(head, dep): types
-    after}, keeps each one given in c."""
-    kind = tm.action_kind(action)
-    if kind == "ARC":
-        _, direction, _ = tm.parse_arc_action(action)
-        l, r = c.cache
-        ends = (r, l) if direction == "left" else (l, r)
-    elif kind == "PROMOTE_ARC":
+    after}, keeps each one given in c.  The machine's menus spell the
+    direction in the action's prefix."""
+    if action.startswith(_LEFT_ARC):
+        ends = c.cache[::-1]
+    elif action.startswith(_RIGHT_ARC):
+        ends = c.cache
+    elif action.startswith("PROMOTE_ARC:"):
         ends = (c.promoted, c.cache[1])
     else:
         return types
@@ -891,6 +930,9 @@ def _lexicon_filtered(machine, c, actions, lexicon):
             if tm.action_kind(a) != "SUFFIX" or candidates[a] in kept]
 
 
+_FORCED = (0.0,)  # the log-softmax of one finite score
+
+
 def _rank_key(item):
     return (-item.score, item.rank)
 
@@ -914,9 +956,17 @@ def beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
     no descendant of a live item scores higher than it, and a
     descendant's rank extends its parent's, so it sorts after it on a
     tie; nothing found later could outrank the best finished item.
+
+    A forced move, an item with one candidate, gets the step score 0.0
+    without features or a scorer call when the scorer's
+    forced_moves_free is true.  That is exact: the scorer promises that
+    its one score would be finite and that the call has no side effect,
+    and the log-softmax of one finite score is [0.0].  A scorer without
+    forced_moves_free is called for every item.
     """
     cap = cap if cap is not None else machine.step_cap
     frags = SentenceFeatures(sentence, dep)
+    skip_forced = getattr(scorer, "forced_moves_free", False)
     beam = [BeamItem(machine.init(sentence))]
     best = None  # best finished item
     while beam:
@@ -935,12 +985,15 @@ def beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
             c = item.config
             legal = _concrete_candidates(machine, c)  # in canonical order
             legal = _lexicon_filtered(machine, c, legal, lexicon)
-            feats = extract_features(c, dep, frags)
-            scores = scorer.score(c, feats, legal)
-            if len(scores) != len(legal):
-                raise ValueError("scorer gave %d scores for %d legal actions"
-                                 % (len(scores), len(legal)))
-            scores = _log_softmax(scores)
+            if skip_forced and len(legal) == 1:
+                scores = _FORCED
+            else:
+                feats = extract_features(c, dep, frags)
+                scores = scorer.score(c, feats, legal)
+                if len(scores) != len(legal):
+                    raise ValueError("scorer gave %d scores for %d legal actions"
+                                     % (len(scores), len(legal)))
+                scores = _log_softmax(scores)
             types = _vertex_types(item, grammar) if grammar is not None else item.types
             vetoing = grammar is not None and c.phase in _ARC_PHASES
             verdicts = {}

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -644,6 +645,38 @@ def test_parse_external_scorer_that_exits_at_once(tmp_path, tiny_file,
                 "--external-cmd", "%s -c pass" % _sys.executable]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: external scorer")
+
+
+SILENT_SCORER = r"""
+import sys
+while True:
+    header = sys.stdin.readline()
+    if not header:
+        break
+    sys.stdin.read(int(header))
+    sys.stdin.readline()
+    sys.stdout.write('14\n{"scores": {}}\n')
+    sys.stdout.flush()
+"""
+
+
+def test_parse_external_reply_without_a_legal_action_is_one_error_line(
+        tmp_path, tiny_file, capsys):
+    import sys as _sys
+    model = tmp_path / "model.json"
+    assert run(["train", tiny_file, str(model), "--epochs", "1",
+                "--seed", "0"]) == 0
+    script = tmp_path / "silent_scorer.py"
+    script.write_text(SILENT_SCORER)
+    capsys.readouterr()
+    assert run(["parse", tiny_file, "--model", str(model),
+                "--scorer", "external",
+                "--external-cmd", "%s %s" % (_sys.executable, script),
+                "-o", str(tmp_path / "parsed.txt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: external scorer left out the legal action '[A-Z]\S*'",
+                        err[0])
 
 
 def test_parse_scorer_reply_of_wrong_length_is_one_error_line(

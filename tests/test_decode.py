@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -454,8 +455,9 @@ def _framed(body):
     (_framed(b'{"scores": ["SKIP"]}'), 0),              # scores not a map
     (_framed(b'{"scores": {"SKIP": NaN}}'), 0),         # non-finite score
     (_framed(b'{"scores": {"SKIP": "\xff"}}'), 30),     # body not UTF-8
+    (_framed(b'{"scores": {"WORDGEN": 1.0}}'), 0),      # SKIP left out
 ], ids=["truncated-silent", "truncated-exit", "garbage-header", "garbage-body",
-        "scores-not-a-map", "non-finite", "not-utf8"])
+        "scores-not-a-map", "non-finite", "not-utf8", "missing-action"])
 def test_external_scorer_bad_reply_raises(reply, linger):
     scorer = dec.ExternalScorer(
         [sys.executable, "-c", RAW_REPLY_SCORER, reply.hex(), str(linger)],
@@ -707,6 +709,88 @@ def test_beam_matches_eager_reference(trained, corpus_lexicon, index, beam,
     want = _reference_beam_decode(rec.sentence, make(), machine, **kw)
     assert got == want
     assert repr(got.score) == repr(want.score)  # 0.0 == -0.0, but not in print
+
+
+class _MenuRecording(dec.PerceptronScorer):
+    """A PerceptronScorer that records the length of every menu it scores."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.menus = []
+
+    def score(self, c, features, legal):
+        self.menus.append(len(legal))
+        return super().score(c, features, legal)
+
+
+class _Undeclared:
+    """Delegates to a scorer but declares no forced_moves_free, so the beam
+    scores every item; records the length of every menu it scores."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+        self.menus = []
+
+    def score(self, c, features, legal):
+        self.menus.append(len(legal))
+        return self.scorer.score(c, features, legal)
+
+
+def test_beam_skips_forced_moves(trained, corpus_lexicon):
+    # typed beam-10 decodes with the lexicon never score a one-action
+    # menu, and equal the reference, which scores every item
+    model, machine = trained
+    assert model.weights_bounded
+    kw = dict(beam_size=10, grammar=TypeGrammar.default(), lexicon=corpus_lexicon)
+    forced = 0
+    for rec in load_mini_corpus()[:10]:
+        skipping, scoring = _MenuRecording(model), _MenuRecording(model)
+        got = dec.beam_decode(rec.sentence, skipping, machine, dep=rec.deps, **kw)
+        want = _reference_beam_decode(rec.sentence, scoring, machine,
+                                      dep=rec.deps, **kw)
+        assert got == want
+        assert repr(got.score) == repr(want.score)
+        assert 1 not in skipping.menus
+        forced += scoring.menus.count(1)
+    assert forced
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("weight", [math.inf, 1e308])
+def test_unbounded_weights_score_forced_moves(trained, corpus_items, weight):
+    # NOPROMOTE is often the PROMOTE phase's only action, and every PROMOTE
+    # configuration has both features: its score is inf, or two 1e308
+    # that add up to inf, so it normalizes to nan, not to 0.0
+    model, machine = trained
+    obj = json.loads(model.to_json())
+    ai = model.actions.index("NOPROMOTE")
+    for f in ("phase=PROMOTE", "phase=PROMOTE&phase=PROMOTE"):
+        obj["weights"]["%d,%d" % (dec._bucket(f, model.salt, model.dim), ai)] = weight
+    loaded = dec.PerceptronModel.from_json(json.dumps(obj))
+    assert not loaded.weights_bounded
+    kw = dict(beam_size=10, cap=100)
+    for rec, _ in corpus_items[:8]:
+        got = dec.beam_decode(rec.sentence, dec.PerceptronScorer(loaded), machine,
+                              dep=rec.deps, **kw)
+        want = dec.beam_decode(rec.sentence, _Undeclared(dec.PerceptronScorer(loaded)),
+                               machine, dep=rec.deps, **kw)
+        assert repr(got) == repr(want)
+
+
+def test_undeclared_scorer_is_called_for_every_item(trained, corpus_lexicon,
+                                                    monkeypatch):
+    model, machine = trained
+    expansions = []
+    candidates = dec._concrete_candidates
+    monkeypatch.setattr(dec, "_concrete_candidates",
+                        lambda m, c: expansions.append(c) or candidates(m, c))
+    scorer = _Undeclared(dec.PerceptronScorer(model))
+    for rec in load_mini_corpus()[:8]:
+        dec.beam_decode(rec.sentence, scorer, machine, beam_size=10,
+                        grammar=TypeGrammar.default(), lexicon=corpus_lexicon,
+                        dep=rec.deps)
+    assert len(scorer.menus) == len(expansions)
+    assert 1 in scorer.menus
 
 
 class _TieScorer:
