@@ -677,6 +677,10 @@ def main(argv=None):
             dec.ExternalScorerError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
+    except RecursionError as e:
+        # tree_to_graph, graph_to_tree and render_sexpr recurse once per level
+        print("error: input nested too deeply: %s" % e, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

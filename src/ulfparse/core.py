@@ -16,6 +16,7 @@ expression's own root and :ARGk edges to the remaining siblings.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from sys import intern
 from typing import Optional, Union
@@ -120,8 +121,27 @@ class Atom:
         return self.kind == NAME
 
 
+# distinct spellings parse_atom memoizes before starting over; a corpus
+# repeats most of its symbols (a synthetic one of 1,738 ULFs spells 127)
+ATOM_MEMO_SIZE = 1 << 14
+# spelling -> Atom.  An Atom is frozen and compared by value, so every
+# reader in the process may share one.
+_atoms: dict[str, Atom] = {}
+
+
 def parse_atom(text: str) -> Atom:
-    """Parse one atom spelling.  Inverse of :meth:`Atom.render`."""
+    """Parse one atom spelling.  Inverse of :meth:`Atom.render`.  Atoms
+    are memoized by spelling; a spelling that fails raises on every call."""
+    atom = _atoms.get(text)
+    if atom is None:
+        atom = _read_atom(text)
+        if len(_atoms) >= ATOM_MEMO_SIZE:
+            _atoms.clear()
+        _atoms[text] = atom
+    return atom
+
+
+def _read_atom(text: str) -> Atom:
     if not text:
         raise UlfSyntaxError("empty atom")
     if text.startswith("|"):
@@ -154,7 +174,7 @@ def parse_sexpr(text: str) -> UlfTree:
     Whitespace-insensitive.  Pipes group a single name atom even when the
     name contains spaces: ``(|New York| big.a)`` has two children.
     """
-    toks = _tokenize(text, "()", ";")
+    toks = _tokenize(text, _SEXPR_TOKEN)
     if not toks:
         raise UlfSyntaxError("empty input")
     tree, pos = _parse_tokens(toks, 0)
@@ -163,61 +183,50 @@ def parse_sexpr(text: str) -> UlfTree:
     return tree
 
 
-def _tokenize(text: str, delims, comment):
-    """The tokens of text: each delimiter character alone, and atoms,
-    which run to whitespace or a delimiter and take a |...| group whole,
-    spaces and delimiters included.  A comment runs to the end of its
-    line and gives no token; comment=None allows none."""
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in delims:
-            toks.append(c)
-            i += 1
-        elif c == comment:
-            while i < n and text[i] != "\n":
-                i += 1
-        else:
-            buf = []
-            while i < n:
-                ch = text[i]
-                if ch == "|":
-                    end = text.find("|", i + 1)
-                    if end < 0:
-                        raise UlfSyntaxError("unterminated pipe")
-                    buf.append(text[i : end + 1])
-                    i = end + 1
-                elif ch.isspace() or ch in delims:
-                    break
-                else:
-                    buf.append(ch)
-                    i += 1
-            toks.append("".join(buf))
+# A token is a delimiter alone or an atom, which runs to whitespace or a
+# delimiter and takes each |...| group whole, spaces and delimiters
+# included.  A lone | is a pipe that never closes.  An s-expression
+# comment runs from ; to the end of its line and matches outside the
+# group, so findall gives it as "".  \s matches exactly the characters
+# str.isspace() accepts.
+_SEXPR_TOKEN = re.compile(r";[^\n]*|([()]|(?:[^\s()|]+|\|[^|]*\|)+|\|)")
+_PENMAN_TOKEN = re.compile(r"[()/]|(?:[^\s()/|]+|\|[^|]*\|)+|\|")
+
+
+def _tokenize(text: str, token_re) -> list[str]:
+    toks = token_re.findall(text)
+    if "|" in toks:
+        raise UlfSyntaxError("unterminated pipe")
+    if "" in toks:
+        toks = [t for t in toks if t]
     return toks
 
 
 def _parse_tokens(toks, pos):
-    tok = toks[pos]
-    if tok == "(":
-        children = []
-        pos += 1
-        while pos < len(toks) and toks[pos] != ")":
-            child, pos = _parse_tokens(toks, pos)
-            children.append(child)
-        if pos >= len(toks):
-            raise UlfSyntaxError("unbalanced parentheses: missing )")
-        return children, pos + 1
-    if tok == ")":
-        raise UlfSyntaxError("unbalanced parentheses: unexpected )")
-    return parse_atom(tok), pos + 1
+    """The tree that starts at toks[pos], and the position after it."""
+    stack = []  # the lists still open, innermost last
+    for pos in range(pos, len(toks)):
+        tok = toks[pos]
+        if tok == "(":
+            stack.append([])
+            continue
+        if tok == ")":
+            if not stack:
+                raise UlfSyntaxError("unbalanced parentheses: unexpected )")
+            tree = stack.pop()
+            if not tree:
+                raise UlfSyntaxError("empty list")
+        else:
+            tree = parse_atom(tok)
+        if not stack:
+            return tree, pos + 1
+        stack[-1].append(tree)
+    raise UlfSyntaxError("unbalanced parentheses: missing )")
 
 
 def parse_sexpr_stream(text: str) -> list:
     """Parse consecutive s-expressions (one per line or blank-separated)."""
-    toks = _tokenize(text, "()", ";")
+    toks = _tokenize(text, _SEXPR_TOKEN)
     out, pos = [], 0
     while pos < len(toks):
         tree, pos = _parse_tokens(toks, pos)
@@ -440,7 +449,7 @@ def parse_penman(text: str) -> UlfGraph:
 
     Node labels may contain |...| groups with internal spaces.
     """
-    toks = _tokenize(text, "()/", None)
+    toks = _tokenize(text, _PENMAN_TOKEN)
     if not toks:
         raise UlfSyntaxError("empty penman input")
     pos = [0]

@@ -482,8 +482,8 @@ class PerceptronModel:
     @classmethod
     def from_json(cls, text) -> "PerceptronModel":
         """The model to_json wrote.  Text that breaks its schema raises
-        ValueError naming the field; non-finite weights are legal, since
-        to_json writes them."""
+        ValueError naming the field, as does a weight a float cannot
+        hold; non-finite weights are legal, since to_json writes them."""
         obj = json.loads(text)
         if not isinstance(obj, dict) or obj.get("format") != "ulfparse-perceptron-v1":
             raise ValueError("unrecognized model format")
@@ -506,7 +506,9 @@ class PerceptronModel:
             try:
                 b, a = int(b), int(a)
                 ok = 0 <= b < dim and 0 <= a < n and type(v) in (float, int)
-            except ValueError:
+                if ok:
+                    float(v)  # scoring converts; an int past float range fails
+            except (ValueError, OverflowError):
                 ok = False
             if not ok:
                 raise ValueError("model field 'weights' has a bad entry %r: %r"

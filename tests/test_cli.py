@@ -359,7 +359,8 @@ def test_config_list_option_takes_every_item(tmp_path, tiny_file):
                                   "config_with_positional",
                                   "config_flag_with_value",
                                   "config_value_not_an_int",
-                                  "eval_k_zero", "eval_negative_restarts"])
+                                  "eval_k_zero", "eval_negative_restarts",
+                                  "gold_with_empty_list", "gold_nested_too_deeply"])
 def test_malformed_input_ends_in_one_error_line(tmp_path, tiny_file, capsys, case):
     missing = str(tmp_path / "absent")
     golds = tmp_path / "golds.ulf"
@@ -370,6 +371,10 @@ def test_malformed_input_ends_in_one_error_line(tmp_path, tiny_file, capsys, cas
     del rows[1]["ulf"]
     no_gold = tmp_path / "no_gold.jsonl"
     no_gold.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    empty_list = tmp_path / "empty_list.jsonl"
+    empty_list.write_text(json.dumps(dict(rows[0], ulf="(i.pro (run.v ()))")) + "\n")
+    deep = tmp_path / "deep.ulf"
+    deep.write_text("(" * 1200 + "run.v" + ")" * 1200 + "\n")
     configs = {}
     for name, text in (("bare", "beam\n"), ("unknown", "colour = red\n"),
                        ("beam", "beam = 10\n"), ("types", "types = true\n"),
@@ -401,6 +406,10 @@ def test_malformed_input_ends_in_one_error_line(tmp_path, tiny_file, capsys, cas
         "eval_negative_restarts": (
             ["eval", "both", str(golds), str(golds), "--restarts", "-1"],
             "restarts must be"),
+        "gold_with_empty_list": (["oracle", str(empty_list)],
+                                 "line 1: unparseable gold ULF: empty list"),
+        "gold_nested_too_deeply": (["eval", "both", str(golds), str(deep)],
+                                   "nested too deeply"),
     }[case]
     assert run(argv) == 1
     err = capsys.readouterr().err.splitlines()
@@ -489,12 +498,64 @@ def test_replay_of_generated_action_files_ends_cleanly(fuzz_files, records):
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+# -- corpus-line fuzzing --------------------------------------------------------
+
+# what an edit inserts into a gold ULF: a paren, a lone pipe, an empty list
+# or a comment, which runs to the end of the line or of the ULF
+FUZZ_ULF_INSERTS = ("(", ")", "|", "()", "; note", "; note\n")
+FUZZ_NESTING = 1200
+
+# (operation, position, inserted text): positions are taken modulo the length
+_fuzz_ulf_edit = st.tuples(st.sampled_from(("drop paren", "insert", "nest")),
+                           st.integers(0, 1 << 16), st.sampled_from(FUZZ_ULF_INSERTS))
+
+
+def _mutated_ulf(ulf, edits):
+    for op, pos, text in edits:
+        if op == "drop paren":
+            parens = [i for i, c in enumerate(ulf) if c in "()"]
+            if parens:
+                i = parens[pos % len(parens)]
+                ulf = ulf[:i] + ulf[i + 1:]
+        elif op == "insert":
+            i = pos % (len(ulf) + 1)
+            ulf = ulf[:i] + text + ulf[i:]
+        else:
+            ulf = "(" * FUZZ_NESTING + ulf + ")" * FUZZ_NESTING
+    return ulf
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_fuzz_ulf_edit, max_size=3), min_size=len(FUZZ_IDS),
+                max_size=len(FUZZ_IDS)))
+def test_oracle_on_generated_corpus_lines_ends_cleanly(fuzz_files, edits):
+    # each record's gold ULF with parens dropped or added, a lone pipe, an
+    # empty list, a comment or deep nesting: oracle ends with exit 0 and
+    # no message, or exit 1 and one error: line
+    root, corpus, _ = fuzz_files
+    with open(corpus) as fh:
+        rows = [json.loads(line) for line in fh]
+    for row, record_edits in zip(rows, edits):
+        row["ulf"] = _mutated_ulf(row["ulf"], record_edits)
+    mutated = root / "mutated.jsonl"
+    mutated.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(["oracle", str(mutated), "-o", str(root / "oracle.txt")])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 # -- model fuzzing --------------------------------------------------------------
 
 # what a mutation puts in place of a field, a vocabulary entry or a weight
-FUZZ_VALUES = (None, True, 0, -1, 1, 7, 1 << 40, 0.5, float("nan"), float("inf"),
-               "", "x", "1,0", [], [1], ["x"], ["x", "x"], {}, {"a": 1},
-               {"1,0": 1.0})
+FUZZ_VALUES = (None, True, 0, -1, 1, 7, 1 << 40, 10 ** 400, 0.5, float("nan"),
+               float("inf"), "", "x", "1,0", [], [1], ["x"], ["x", "x"], {},
+               {"a": 1}, {"1,0": 1.0})
 FUZZ_KEYS = ("format", "dim", "salt", "averaged", "actions", "vocab", "weights",
              "extra")
 
@@ -560,7 +621,9 @@ def test_parse_with_generated_models_ends_cleanly(fuzz_model, tmp_path_factory,
     ("actions", 5, "'actions'"), ("weights", [], "'weights'"), ("dim", 0, "'dim'"),
     ("dim", "a", "'dim'"), ("vocab", {"arc_labels": 5}, "'arc_labels'"),
     ("salt", None, "'salt'"), ("weights", {"1,0": "x"}, "'weights'"),
-    ("weights", {"1,99999": 1.0}, "'weights'")])
+    ("weights", {"1,99999": 1.0}, "'weights'"),
+    # an int past float range, which scoring cannot convert
+    ("weights", {"1,0": 10 ** 400}, "'1,0'")])
 def test_malformed_model_field_is_named(fuzz_model, tmp_path, capsys, field, value,
                                         named):
     obj, corpus = fuzz_model

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ulfparse import core
 from ulfparse.core import (
     Atom,
     Sentence,
@@ -16,6 +17,7 @@ from ulfparse.core import (
     tree_to_graph,
 )
 
+import reference_reader as ref
 from goldens import MC002_EDGES, MC002_PENMAN, MC002_ULF, MC002_VERTS
 
 
@@ -71,6 +73,72 @@ def test_whitespace_insensitive():
     a = parse_sexpr("(a.d\n   (b.n   c.v))")
     b = parse_sexpr("(a.d (b.n c.v))")
     assert render_sexpr(a) == render_sexpr(b)
+
+
+def test_empty_list_is_refused_at_any_depth():
+    for text in ["()", "(i.pro (run.v ()))", "((()) a.n)", "(a.n ( ) b.n)"]:
+        with pytest.raises(UlfSyntaxError, match="empty list"):
+            parse_sexpr(text)
+    with pytest.raises(UlfSyntaxError, match="empty list"):
+        core.parse_sexpr_stream("(a.n b.n)\n(c.n ())")
+
+
+def test_deep_nesting_reads_without_recursion():
+    depth = 5000
+    tree = parse_sexpr("(" * depth + "a.n" + ")" * depth)
+    for _ in range(depth):
+        assert isinstance(tree, list) and len(tree) == 1
+        tree = tree[0]
+    assert tree == Atom("a", "suffixed", "n")
+
+
+# -- the reader against the reference reader ---------------------------------
+
+# delimiters, pipes, comments, newlines and the kinds of whitespace
+_READER_TEXT = st.text(alphabet="()/|;\n \t\u00a0\u2028a.", max_size=40)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except UlfSyntaxError as e:
+        return "error", str(e)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_READER_TEXT)
+def test_tokenizer_matches_reference(text):
+    assert _outcome(core._tokenize, text, core._SEXPR_TOKEN) == _outcome(
+        ref._tokenize, text, "()", ";")
+    assert _outcome(core._tokenize, text, core._PENMAN_TOKEN) == _outcome(
+        ref._tokenize, text, "()/", None)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_READER_TEXT)
+def test_parser_matches_reference(text):
+    for new, old in ((core.parse_sexpr, ref.parse_sexpr),
+                     (core.parse_sexpr_stream, ref.parse_sexpr_stream)):
+        got = _outcome(new, text)
+        if got != ("error", "empty list"):  # the reference reads () as []
+            assert got == _outcome(old, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="|.a b", max_size=8))
+def test_memoized_atom_equals_fresh_one(spelling):
+    fresh = _outcome(ref.parse_atom, spelling)
+    for _ in range(2):  # the second call may hit the memo
+        assert _outcome(parse_atom, spelling) == fresh
+    assert (spelling in core._atoms) == (fresh[0] == "value")
+
+
+def test_atom_memo_starts_over_when_full(monkeypatch):
+    monkeypatch.setattr(core, "ATOM_MEMO_SIZE", 4)
+    monkeypatch.setattr(core, "_atoms", {})
+    for i in range(10):
+        assert parse_atom("w%d.n" % i) == Atom("w%d" % i, "suffixed", "n")
+        assert len(core._atoms) <= 4
 
 
 # -- tree <-> graph ----------------------------------------------------------
