@@ -354,10 +354,6 @@ SCORE_MEMO_SIZE = 1 << 12
 WEIGHT_BOUND = 2.0 ** 1000
 
 
-def _bounded(w):
-    return -WEIGHT_BOUND < w < WEIGHT_BOUND  # False for NaN
-
-
 @dataclass
 class PerceptronModel:
     """Averaged perceptron with hashed sparse features.
@@ -368,11 +364,11 @@ class PerceptronModel:
     suffixes, symbol and promote inventories) harvested from training,
     so a saved model parses corpora without gold annotations.
 
-    weights_bounded tells whether every weight is finite and below
-    WEIGHT_BOUND in magnitude, so that every score is finite.  It is
-    decided where weights enter the model, in the constructor and
-    from_json.  update moves a weight by 1.0 and finalize averages it,
-    which keeps a bounded weight bounded in any run that can finish.
+    Every weight is finite and below WEIGHT_BOUND in magnitude, so every
+    score is finite.  Weights enter from outside only through from_json,
+    which refuses any other.  update moves a weight by 1.0 and finalize
+    averages it, which keeps a bounded weight bounded in any run that
+    can finish.
     """
 
     actions: list
@@ -387,8 +383,6 @@ class PerceptronModel:
     def __post_init__(self):
         self.action_ids = {a: i for i, a in enumerate(self.actions)}
         self._bucket_of = {}  # feature -> bucket, memoized crc32
-        self.weights_bounded = all(_bounded(w) for row in self.weights.values()
-                                   for w in row.values())
 
     def add_action(self, action):
         if action not in self.action_ids:
@@ -473,8 +467,7 @@ class PerceptronModel:
             row = weights[b]
             if row:
                 # json writes a finite number as its repr
-                number = repr if all(map(math.isfinite, row.values())) else json.dumps
-                rows.append(", ".join(['"%d,%d": %s' % (b, ai, number(row[ai]))
+                rows.append(", ".join(['"%d,%d": %r' % (b, ai, row[ai])
                                        for ai in sorted(row, key=str)]))
         # "weights" sorts after every other key, so it closes the object
         return '%s, "weights": {%s}}' % (head[:-1], ", ".join(rows))
@@ -482,8 +475,9 @@ class PerceptronModel:
     @classmethod
     def from_json(cls, text) -> "PerceptronModel":
         """The model to_json wrote.  Text that breaks its schema raises
-        ValueError naming the field, as does a weight a float cannot
-        hold; non-finite weights are legal, since to_json writes them."""
+        ValueError naming the field, as does a weight that is not a
+        number strictly inside +-WEIGHT_BOUND: NaN, an infinity or a
+        weight no training run writes."""
         obj = json.loads(text)
         if not isinstance(obj, dict) or obj.get("format") != "ulfparse-perceptron-v1":
             raise ValueError("unrecognized model format")
@@ -505,17 +499,15 @@ class PerceptronModel:
             b, _, a = key.partition(",")
             try:
                 b, a = int(b), int(a)
-                ok = 0 <= b < dim and 0 <= a < n and type(v) in (float, int)
-                if ok:
-                    float(v)  # scoring converts; an int past float range fails
-            except (ValueError, OverflowError):
+                # the comparisons are false for NaN and exact for any int
+                ok = (0 <= b < dim and 0 <= a < n and type(v) in (float, int)
+                      and -WEIGHT_BOUND < v < WEIGHT_BOUND)
+            except ValueError:
                 ok = False
             if not ok:
                 raise ValueError("model field 'weights' has a bad entry %r: %r"
                                  % (key, v))
             rows.setdefault(b, {})[a] = v
-            if not _bounded(v):
-                model.weights_bounded = False
         return model
 
     def make_machine(self) -> tm.Machine:
@@ -688,28 +680,26 @@ class PerceptronScorer:
     gives the configuration's buckets and the legal actions, the same
     bits per action as score_buckets.
 
-    forced_moves_free is the model's weights_bounded: with bounded
-    weights every score is finite, and the beam calls the scorer only for
-    menus of two or more actions.  Beam items with different histories
-    often reach configurations with the same features and the same menu
-    (42% of the calls of a benchmark parse pass repeat one), so score
-    lists are memoized per (features, legal), up to SCORE_MEMO_SIZE
-    entries before the memo starts over.  It starts over whenever the model was updated or averaged since the
+    The model's weights are bounded, so every score is finite, and the
+    beam calls the scorer only for menus of two or more actions.  Beam
+    items with different histories often reach configurations with the
+    same features and the same menu (42% of the calls of a benchmark
+    parse pass repeat one), so score lists are memoized per (features,
+    legal), up to SCORE_MEMO_SIZE entries before the memo starts over.
+    It starts over whenever the model was updated or averaged since the
     last call, since the weights change only then (add_action alone
     changes no score), and with each new sentence, since repeats seldom
     cross sentences.  A returned list is shared with the memo: never
     change one.
     """
 
+    forced_moves_free = True
+
     def __init__(self, model: PerceptronModel):
         self.model = model
         self._memo = {}      # (features, legal) -> scores
         self._version = None  # (updates, averaged) of the memo
         self._sentence = None
-
-    @property
-    def forced_moves_free(self):
-        return self.model.weights_bounded
 
     def score(self, c, features, legal):
         model = self.model
@@ -868,9 +858,6 @@ def _log_softmax(scores: list) -> list:
     """
     if not scores:
         return []
-    if len(scores) == 1 and math.isfinite(scores[0]):
-        # what numpy gives for one finite score: (v - v) - log(exp(0.0))
-        return [0.0]
     # the ufuncs that vals.max() and .sum() call, without their wrappers
     vals = np.fromiter(scores, float, len(scores))
     vals -= np.maximum.reduce(vals)

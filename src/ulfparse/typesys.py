@@ -271,10 +271,12 @@ class Lexicon:
 
 def lexicon_filter(word: Token, candidates: set, lex: Lexicon) -> set:
     """Restrict candidate atom renderings by the lexicon entry of the word
-    stem; words absent from the lexicon pass candidates through."""
-    allowed = lex.allowed(word.surface) if word.surface in lex else None
+    stem; words absent from the lexicon pass candidates through.  The
+    lemma is looked up only when the surface has no entry: an empty entry
+    allows nothing."""
+    allowed = lex.allowed(word.surface)
     if allowed is None:
-        allowed = lex.allowed(word.lemma) if word.lemma in lex else None
+        allowed = lex.allowed(word.lemma)
     if allowed is None:
         return set(candidates)
     return {c for c in candidates if c in allowed}

@@ -550,6 +550,71 @@ def test_oracle_on_generated_corpus_lines_ends_cleanly(fuzz_files, edits):
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+# -- corpus-field fuzzing -------------------------------------------------------
+
+FUZZ_FIELDS = ("tokens", "lemmas", "pos", "ner", "deps")
+# what a replacement puts in place of a word or a dependency label: an empty
+# string, a non-string, or text holding a delimiter of some file format
+FUZZ_WORDS = ("", 5, None, 1.5, ["x"], {"x": 1}, "a b", "a|b", "|", "(", ")",
+              "x=y", "a&b", "a\nb", "\n")
+# what a head edit puts in place of a dependency head
+FUZZ_HEADS = (-1, 0, 1, 99, 1.5, 2.0, "1", "x", "", None, True, [1])
+
+# (field, operation, position, word, head): positions are taken modulo
+# the length
+_fuzz_field_edit = st.tuples(st.sampled_from(FUZZ_FIELDS),
+                             st.sampled_from(("replace", "drop", "repeat", "head")),
+                             st.integers(0, 1 << 16), st.sampled_from(FUZZ_WORDS),
+                             st.sampled_from(FUZZ_HEADS))
+
+
+def _mutated_fields(row, edits):
+    for field, op, pos, word, head in edits:
+        entries = row.get(field)
+        if not isinstance(entries, list) or not entries:
+            continue
+        i = pos % len(entries)
+        if op == "drop":
+            del entries[i]
+        elif op == "repeat":
+            entries.insert(i, entries[i])
+        elif field != "deps":
+            entries[i] = word
+        elif op == "replace":
+            entries[i] = [entries[i][0], word]
+        else:
+            entries[i] = [head, entries[i][1]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_fuzz_field_edit, max_size=3), min_size=len(FUZZ_IDS),
+                max_size=len(FUZZ_IDS)))
+def test_train_and_parse_on_generated_corpus_fields_end_cleanly(fuzz_files, edits):
+    # each record's words, tags and dependencies replaced, dropped or
+    # repeated: train ends with exit 0 and no message, or exit 1 and one
+    # error: line, and so does parse with the model it wrote
+    root, corpus, _ = fuzz_files
+    with open(corpus) as fh:
+        rows = [json.loads(line) for line in fh]
+    for row, record_edits in zip(rows, edits):
+        _mutated_fields(row, record_edits)
+    mutated = root / "fields.jsonl"
+    mutated.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    model = root / "fields-model.json"
+    for argv in (["train", str(mutated), str(model), "--epochs", "1"],
+                 ["parse", str(mutated), "--model", str(model), "--beam", "1",
+                  "--cap", "60", "-o", str(root / "fields-parsed.txt")]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv)
+        lines = err.getvalue().splitlines()
+        if code != 0:
+            assert code == 1
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            break
+        assert lines == []
+
+
 # -- model fuzzing --------------------------------------------------------------
 
 # what a mutation puts in place of a field, a vocabulary entry or a weight
@@ -622,8 +687,14 @@ def test_parse_with_generated_models_ends_cleanly(fuzz_model, tmp_path_factory,
     ("dim", "a", "'dim'"), ("vocab", {"arc_labels": 5}, "'arc_labels'"),
     ("salt", None, "'salt'"), ("weights", {"1,0": "x"}, "'weights'"),
     ("weights", {"1,99999": 1.0}, "'weights'"),
-    # an int past float range, which scoring cannot convert
-    ("weights", {"1,0": 10 ** 400}, "'1,0'")])
+    # weights that are not strictly inside +-WEIGHT_BOUND (2**1000), such
+    # as an int past float range, which scoring cannot convert
+    ("weights", {"1,0": 10 ** 400}, "'1,0'"),
+    ("weights", {"1,0": float("inf")}, "'1,0'"),
+    ("weights", {"1,0": float("-inf")}, "'1,0'"),
+    ("weights", {"1,0": float("nan")}, "'1,0'"),
+    ("weights", {"1,0": 1e308}, "'1,0'"),
+    ("weights", {"1,0": 2.0 ** 1000}, "'1,0'")])
 def test_malformed_model_field_is_named(fuzz_model, tmp_path, capsys, field, value,
                                         named):
     obj, corpus = fuzz_model
@@ -638,6 +709,16 @@ def test_malformed_model_field_is_named(fuzz_model, tmp_path, capsys, field, val
                                      if k != missing}))
         assert run(["parse", corpus, "--model", str(model)]) == 1
         assert "model field %r is missing" % missing in capsys.readouterr().err
+
+
+def test_weight_inside_the_bound_parses(fuzz_model, tmp_path, capsys):
+    obj, corpus = fuzz_model
+    weights = dict(obj["weights"], **{"1,0": 2.0 ** 999})
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(dict(obj, weights=weights)))
+    assert run(["parse", corpus, "--model", str(model), "--beam", "1",
+                "-o", str(tmp_path / "parsed.txt")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_command_line_usage_error_keeps_exit_2(tmp_path, tiny_file, capsys):

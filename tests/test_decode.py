@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import sys
 
 import numpy as np
@@ -282,11 +281,10 @@ def test_model_json_equals_dump_of_weight_dict(trained):
     assert model.totals == {}  # freed by finalize
     assert model.to_json() == _dumped_weight_dict(model)
     # bucket and action orders where string and numeric order differ,
-    # an empty row, -0.0, an int, tiny, huge and non-finite weights
+    # an empty row, -0.0, an int, tiny and huge weights
     odd = dec.PerceptronModel(actions=["A"] * 12, vocab={"k": [1]})
     odd.weights = {5: {10: -0.0, 2: 3, 0: 1e-300}, 50: {1: 0.1}, 500: {},
-                   6: {11: 1.5e300, 1: -2.5}, 12: {0: 7.0},
-                   7: {0: float("inf"), 1: float("-inf"), 2: float("nan")}}
+                   6: {11: 1.5e300, 1: -2.5}, 12: {0: 7.0}}
     assert odd.to_json() == _dumped_weight_dict(odd)
     empty = dec.PerceptronModel(actions=[])
     assert empty.to_json() == _dumped_weight_dict(empty)
@@ -740,7 +738,6 @@ def test_beam_skips_forced_moves(trained, corpus_lexicon):
     # typed beam-10 decodes with the lexicon never score a one-action
     # menu, and equal the reference, which scores every item
     model, machine = trained
-    assert model.weights_bounded
     kw = dict(beam_size=10, grammar=TypeGrammar.default(), lexicon=corpus_lexicon)
     forced = 0
     for rec in load_mini_corpus()[:10]:
@@ -753,28 +750,6 @@ def test_beam_skips_forced_moves(trained, corpus_lexicon):
         assert 1 not in skipping.menus
         forced += scoring.menus.count(1)
     assert forced
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("weight", [math.inf, 1e308])
-def test_unbounded_weights_score_forced_moves(trained, corpus_items, weight):
-    # NOPROMOTE is often the PROMOTE phase's only action, and every PROMOTE
-    # configuration has both features: its score is inf, or two 1e308
-    # that add up to inf, so it normalizes to nan, not to 0.0
-    model, machine = trained
-    obj = json.loads(model.to_json())
-    ai = model.actions.index("NOPROMOTE")
-    for f in ("phase=PROMOTE", "phase=PROMOTE&phase=PROMOTE"):
-        obj["weights"]["%d,%d" % (dec._bucket(f, model.salt, model.dim), ai)] = weight
-    loaded = dec.PerceptronModel.from_json(json.dumps(obj))
-    assert not loaded.weights_bounded
-    kw = dict(beam_size=10, cap=100)
-    for rec, _ in corpus_items[:8]:
-        got = dec.beam_decode(rec.sentence, dec.PerceptronScorer(loaded), machine,
-                              dep=rec.deps, **kw)
-        want = dec.beam_decode(rec.sentence, _Undeclared(dec.PerceptronScorer(loaded)),
-                               machine, dep=rec.deps, **kw)
-        assert repr(got) == repr(want)
 
 
 def test_undeclared_scorer_is_called_for_every_item(trained, corpus_lexicon,

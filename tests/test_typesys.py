@@ -109,6 +109,10 @@ def test_lexicon_filter():
     assert lexicon_filter(absent, cands, lex) == cands
     lex2 = Lexicon({"run": ["jog.v"]})
     assert lexicon_filter(word, cands, lex2) == set()
+    # an empty surface entry allows nothing: the lemma's entry is not read
+    runs = Token("runs", "run", "VBZ", 1)
+    assert lexicon_filter(runs, cands, Lexicon({"runs": [], "run": ["run.v"]})) == set()
+    assert lexicon_filter(runs, cands, Lexicon({"run": ["run.v"]})) == {"run.v"}
 
 
 def test_lexicon_load_tsv(tmp_path):
