@@ -109,14 +109,15 @@ def record_from_obj(obj, lineno="?") -> CorpusRecord:
             fail("'deps' must be a list of [head, label] pairs")
         if len(deps) != n:
             fail("'deps' length mismatch")
+        for pair in deps:
+            # a bool is an int to isinstance, and JSON has no tuples
+            if not (type(pair) is list and len(pair) == 2
+                    and type(pair[0]) is int and type(pair[1]) is str):
+                fail("'deps' must be a list of [head, label] pairs")
+            if not (0 <= pair[0] <= n):
+                fail("dependency head %d out of range" % pair[0])
         # labels are interned, as Sentence.make interns the words
-        try:
-            deps = tuple((int(h), sys.intern(str(lab))) for h, lab in deps)
-        except (TypeError, ValueError):
-            fail("'deps' must be a list of [head, label] pairs")
-        for h, _ in deps:
-            if not (0 <= h <= n):
-                fail("dependency head %d out of range" % h)
+        deps = tuple((h, sys.intern(lab)) for h, lab in deps)
     ulf = obj.get("ulf")
     if ulf is not None:
         try:
@@ -130,6 +131,8 @@ def record_from_obj(obj, lineno="?") -> CorpusRecord:
         fail("%r must be a list of strings" % next(
             key for key in _WORD_FIELDS
             if not all(isinstance(w, str) for w in obj.get(key, ()))))
+    except ValueError as e:  # a Token refuses an empty word
+        fail(str(e))
     return CorpusRecord(str(obj["id"]), sentence, deps, ulf)
 
 

@@ -383,6 +383,7 @@ class PerceptronModel:
     def __post_init__(self):
         self.action_ids = {a: i for i, a in enumerate(self.actions)}
         self._bucket_of = {}  # feature -> bucket, memoized crc32
+        self._view = None     # the WeightView decode_view last gave
 
     def add_action(self, action):
         if action not in self.action_ids:
@@ -423,6 +424,16 @@ class PerceptronModel:
         return [0.0 if (ai := ids.get(a)) is None
                 else sum(filter(None, map(get, rows, repeat(ai))), 0.0)
                 for a in actions]
+
+    def decode_view(self) -> "WeightView":
+        """The WeightView of the weights as they are now: the last one,
+        unless the model was updated or averaged or gained an action
+        since it was built."""
+        view = self._view
+        if view is None or view.version != (self.updates, self.averaged,
+                                            len(self.actions)):
+            view = self._view = WeightView(self)
+        return view
 
     def update(self, buckets, gold_action, pred_action):
         """One perceptron step on a configuration's bucket ids (buckets)."""
@@ -519,6 +530,69 @@ class PerceptronModel:
             suffixes=self.vocab.get("suffixes", []),
             symgen_vocab=self.vocab.get("symgen", []),
             promote_syms=self.vocab.get("promote", []))
+
+
+class WeightView:
+    """A decode view of a PerceptronModel's weights: a float64 matrix with
+    one row per weight row the decoder has read and one column per
+    action, plus a last column of zeros for the actions the model lacks.
+
+    Row 0 is all zeros.  A bucket gets its row the first time a feature
+    maps to it, and a bucket without weights shares row 0.  The matrix is
+    allocated zeroed for every row up front, (rows + 1) x (actions + 1) x
+    8 bytes, but the pages of rows never written take no memory.  The
+    feature -> row memo holds up to BUCKET_MEMO_SIZE features before it
+    starts over; the rows already written stay, as the bucket -> row map
+    is never cleared.  version is the model's (updates, averaged, number
+    of actions) when the view was built: the weights it copies change
+    only with the first two, and its columns with the third.
+    """
+
+    def __init__(self, model):
+        self.version = (model.updates, model.averaged, len(model.actions))
+        self.matrix = np.zeros((len(model.weights) + 1, len(model.actions) + 1))
+        self._weights, self._salt, self._dim = model.weights, model.salt, model.dim
+        self._col_of = dict(model.action_ids)
+        self._written = 0   # rows written, after row 0
+        self._row_of = {}   # bucket -> row
+        self._rows = {}     # feature -> row
+
+    def _row(self, feature):
+        b = _bucket(feature, self._salt, self._dim)
+        row = self._row_of.get(b)
+        if row is None:
+            weights = self._weights.get(b)
+            row = 0
+            if weights:
+                row = self._written = self._written + 1
+                self.matrix[row, list(weights)] = list(weights.values())
+            self._row_of[b] = row
+        return row
+
+    def scores(self, features, legal) -> list:
+        """The score of each legal action, as score_actions gives it.
+
+        The block of the feature rows, after row 0, and the menu's
+        columns is summed down its rows by np.add.accumulate, a running
+        sum from top to bottom, so each column's last entry is +0.0 plus
+        the action's weights in feature order, zeros included.  That is
+        score_actions' sum bit for bit: row 0 stands for the builtin
+        sum's +0.0 start, and the zeros change no bit (score_actions).
+        """
+        memo = self._rows
+        if len(memo) > BUCKET_MEMO_SIZE:
+            memo.clear()
+        try:
+            rows = [0, *map(memo.__getitem__, features)]
+        except KeyError:
+            for f in features:
+                if f not in memo:
+                    memo[f] = self._row(f)
+            rows = [0, *map(memo.__getitem__, features)]
+        col_of, missing = self._col_of, len(self._col_of)
+        cols = [col_of.get(a, missing) for a in legal]
+        block = self.matrix.take(rows, 0).take(cols, 1)
+        return np.add.accumulate(block, axis=0)[-1].tolist()
 
 
 def _model_field(obj, name, kind, *default):
@@ -678,7 +752,8 @@ class OracleScorer:
 class PerceptronScorer:
     """Scores with a PerceptronModel: the list PerceptronModel.score_actions
     gives the configuration's buckets and the legal actions, the same
-    bits per action as score_buckets.
+    bits per action as score_buckets, computed from the model's
+    decode_view.
 
     The model's weights are bounded, so every score is finite, and the
     beam calls the scorer only for menus of two or more actions.  Beam
@@ -712,7 +787,7 @@ class PerceptronScorer:
         key = (features, tuple(legal))
         scores = memo.get(key)
         if scores is None:
-            scores = memo[key] = model.score_actions(model.buckets(features), legal)
+            scores = memo[key] = model.decode_view().scores(features, key[1])
         return scores
 
 
@@ -900,6 +975,28 @@ def _type_filtered(c, types, action, verdicts):
     return verdicts[ends]
 
 
+def _menu(machine, c, lexicon, memo):
+    """The concrete legal actions of c that the lexicon keeps, as a tuple,
+    from memo, {key: menu}, if it holds c's key.
+
+    The concrete menu depends on the machine's offer only, whose menu
+    records and bare tuples are the machine's constants, so their ids and
+    the bare actions key it.  The lexicon filter also reads the phase and
+    the front words, so in the symbol phases a lexicon adds (phase,
+    cursor, merged) to the key.  One memo serves one decode: one machine,
+    lexicon and sentence.
+    """
+    menus, bare = machine.offer(c)
+    key = (bare, *map(id, menus))
+    if lexicon is not None and c.phase in _SUFFIX_PHASES:
+        key += (c.phase, c.cursor, c.merged)
+    legal = memo.get(key)
+    if legal is None:
+        legal = memo[key] = tuple(_lexicon_filtered(
+            machine, c, _concrete_candidates(machine, c), lexicon))
+    return legal
+
+
 def _lexicon_filtered(machine, c, actions, lexicon):
     """Restrict SUFFIX candidates by the lexicon entry for the word stem;
     an empty intersection falls back to the unconstrained set.  Only the
@@ -952,10 +1049,19 @@ def beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
     its one score would be finite and that the call has no side effect,
     and the log-softmax of one finite score is [0.0].  A scorer without
     forced_moves_free is called for every item.
+
+    Within one decode, the menus are memoized by the machine's offer
+    (_menu), and the log-softmax by the tuple of raw scores.  Equal tuples
+    normalize to the same bits, although 0.0 == -0.0: an entry's sign of
+    zero can reach the result only through an entry that ties the
+    maximum, and then two entries do, the log of the sum of exponentials
+    is at least log 2, and either zero minus it is the same.
     """
     cap = cap if cap is not None else machine.step_cap
     frags = SentenceFeatures(sentence, dep)
     skip_forced = getattr(scorer, "forced_moves_free", False)
+    menus = {}       # see _menu
+    normalized = {}  # raw scores -> their log-softmax
     beam = [BeamItem(machine.init(sentence))]
     best = None  # best finished item
     while beam:
@@ -972,17 +1078,19 @@ def beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
         candidates = []
         for item in live:
             c = item.config
-            legal = _concrete_candidates(machine, c)  # in canonical order
-            legal = _lexicon_filtered(machine, c, legal, lexicon)
+            legal = _menu(machine, c, lexicon, menus)  # in canonical order
             if skip_forced and len(legal) == 1:
                 scores = _FORCED
             else:
                 feats = extract_features(c, dep, frags)
-                scores = scorer.score(c, feats, legal)
-                if len(scores) != len(legal):
+                raw = scorer.score(c, feats, legal)
+                if len(raw) != len(legal):
                     raise ValueError("scorer gave %d scores for %d legal actions"
-                                     % (len(scores), len(legal)))
-                scores = _log_softmax(scores)
+                                     % (len(raw), len(legal)))
+                raw = tuple(raw)
+                scores = normalized.get(raw)
+                if scores is None:
+                    scores = normalized[raw] = _log_softmax(raw)
             types = _vertex_types(item, grammar) if grammar is not None else item.types
             vetoing = grammar is not None and c.phase in _ARC_PHASES
             verdicts = {}

@@ -271,9 +271,11 @@ class Machine:
 
     # -- legality ----------------------------------------------------------
 
-    def _offer(self, c: Config):
+    def offer(self, c: Config):
         """(menus, bare): the menu records and the bare actions legal in c,
-        each in canonical order (action_sort_key), menus first."""
+        each in canonical order (action_sort_key), menus first.  The
+        records and the bare tuples are this machine's constants, so two
+        offers that hold the same objects offer the same actions."""
         phase = c.phase
         if phase == ARC:
             l, r = c.cache
@@ -300,7 +302,7 @@ class Machine:
 
     def legal_actions(self, c: Config) -> list[str]:
         """All actions permitted in c, in canonical order (action_sort_key)."""
-        menus, bare = self._offer(c)
+        menus, bare = self.offer(c)
         out = []
         for menu in menus:
             out += menu[0]
@@ -311,7 +313,7 @@ class Machine:
         """Whether action is one of legal_actions(c), where an open
         vocabulary's "*" marker admits any concrete parameter that apply
         can take: for SYMGEN and PROMOTE_SYM, one that spells an atom."""
-        menus, bare = self._offer(c)
+        menus, bare = self.offer(c)
         if action in bare:
             return True
         for _, prefix, allows in menus:

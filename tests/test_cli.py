@@ -86,7 +86,26 @@ def test_ingest_bad_gold_ulf(tmp_path):
     ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"], "deps": [5]}',
      "'deps'"),
     ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"],'
-     ' "deps": [[null, "root"]]}', "'deps'")])
+     ' "deps": [[null, "root"]]}', "'deps'"),
+    # a head or label of another type is refused, not coerced
+    ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"],'
+     ' "deps": [[1.5, "root"]]}', "'deps'"),
+    ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"],'
+     ' "deps": [[true, "root"]]}', "'deps'"),
+    ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"],'
+     ' "deps": [["1", "root"]]}', "'deps'"),
+    ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"],'
+     ' "deps": [[0, 5]]}', "'deps'"),
+    ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"],'
+     ' "deps": [[0, null]]}', "'deps'"),
+    ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"],'
+     ' "deps": [[0, "root", "x"]]}', "'deps'"),
+    ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"],'
+     ' "deps": [{"0": "root"}]}', "'deps'"),
+    ('{"id": "x", "tokens": ["a"], "lemmas": ["a"], "pos": ["X"],'
+     ' "deps": [[2, "root"]]}', "head 2 out of range"),
+    ('{"id": "x", "tokens": [""], "lemmas": ["a"], "pos": ["X"]}',
+     "token surface must be nonempty")])
 def test_ingest_malformed_record_names_the_field(tmp_path, line, named):
     p = tmp_path / "bad.jsonl"
     p.write_text(line + "\n")

@@ -1,5 +1,7 @@
+import builtins
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -11,7 +13,7 @@ from ulfparse import machine as tm
 from ulfparse.cli import load_mini_corpus
 from ulfparse.core import Sentence, graphs_equal
 from ulfparse.oracle import extract_with_alignment
-from ulfparse.typesys import Lexicon, TypeGrammar, check_arc, type_of
+from ulfparse.typesys import Lexicon, TypeGrammar, check_arc, lexicon_filter, type_of
 
 from reference_train import reference_train
 
@@ -184,20 +186,34 @@ def test_one_pass_scores_equal_per_action_sums(trained, corpus_items):
                 assert len(scorer._memo) == memoized
                 c = machine.apply(c, gold)
     # an update reaches a memoized score, also through a feature that had
-    # no row before it
+    # no row before it, and so does averaging; the decode view is rebuilt
+    # after each, and after a new action, and kept otherwise
     model = dec.PerceptronModel.from_json(trained_model.to_json())
+    model.averaged = False
     scorer = dec.PerceptronScorer(model)
     rec, actions = corpus_items[0]
     c = machine.apply(machine.init(rec.sentence), actions[0])
     feats = dec.extract_features(c, rec.deps) + ("unseen=feature",)
-    legal = dec._concrete_candidates(machine, c)
+    legal = dec._concrete_candidates(machine, c) + ["NEW-ACTION"]
     before = scorer.score(c, feats, legal)
-    model.add_action(legal[-1])
-    model.update(model.buckets(feats), legal[0], legal[-1])
+    view = model.decode_view()
+    assert model.decode_view() is view
+    model.add_action("NEW-ACTION")
+    assert model.decode_view() is not view
+    view = model.decode_view()
+    _assert_per_action_sums(model, scorer, c, feats, legal)
+    model.update(model.buckets(feats), legal[0], "NEW-ACTION")
     after = scorer.score(c, feats, legal)
+    assert model.decode_view() is not view
+    view = model.decode_view()
     _assert_per_action_sums(model, scorer, c, feats, legal)
     assert after[0] > before[0]
     assert after[-1] < before[-1]
+    model.finalize(3)
+    assert model.decode_view() is not view
+    averaged = scorer.score(c, feats, legal)
+    _assert_per_action_sums(model, scorer, c, feats, legal)
+    assert averaged != after
 
 
 def test_add_action_alone_keeps_memoized_scores(trained, corpus_items):
@@ -242,7 +258,42 @@ def test_score_actions_equals_score_buckets(weights, buckets, actions):
         [repr(float(model.score_buckets(buckets, a))) for a in actions]
 
 
-def test_bucket_memo_stays_bounded_and_exact(corpus_items, monkeypatch):
+FINITE_WEIGHTS = st.one_of(
+    st.floats(-dec.WEIGHT_BOUND, dec.WEIGHT_BOUND, exclude_min=True, exclude_max=True),
+    st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e-300, -1e-300, 2.0 ** 999]))
+KERNEL_ACTIONS = ["A", "B", "C", "D"]
+
+
+@given(st.dictionaries(st.integers(0, 7), st.dictionaries(
+           st.integers(0, 3), FINITE_WEIGHTS, max_size=4), max_size=6),
+       st.lists(st.integers(0, 30), max_size=40),
+       st.lists(st.sampled_from(KERNEL_ACTIONS + ["UNKNOWN", "OTHER"]),
+                min_size=1, max_size=6))
+def test_view_scores_equal_left_to_right_loop(weights, picks, legal):
+    # 31 features over 8 buckets: repeated buckets, buckets without a
+    # row, rows without an action, explicit zeros of either sign
+    model = dec.PerceptronModel(actions=list(KERNEL_ACTIONS), dim=8, salt=1)
+    model.weights = weights
+    features = tuple("f%d" % i for i in picks)
+    want = []
+    for a in legal:
+        ai = model.action_ids.get(a)
+        total = 0.0
+        for f in features:
+            row = weights.get(dec._bucket(f, 1, 8), {})
+            if ai in row:
+                total = total + row[ai]
+        want.append(total)
+    view = model.decode_view()
+    assert [repr(s) for s in view.scores(features, legal)] == [repr(s) for s in want]
+    # from the memoized rows, too
+    assert [repr(s) for s in view.scores(features, legal)] == [repr(s) for s in want]
+
+
+def test_bucket_memo_stays_bounded_and_exact(trained, corpus_items, monkeypatch):
+    # the model's bucket memo and the decode view's row memo both start
+    # over past BUCKET_MEMO_SIZE, and the view's rows stay valid
     monkeypatch.setattr(dec, "BUCKET_MEMO_SIZE", 50)
     model = dec.PerceptronModel(actions=[], salt=3)
     machine = tm.Machine()
@@ -253,6 +304,18 @@ def test_bucket_memo_stays_bounded_and_exact(corpus_items, monkeypatch):
             assert model.buckets(feats) == [dec._bucket(f, 3, model.dim) for f in feats]
             assert len(model._bucket_of) <= 50 + len(feats)
             c = machine.apply(c, a)
+    model = dec.PerceptronModel.from_json(trained[0].to_json())
+    view = model.decode_view()
+    for rec, actions in corpus_items[:3]:
+        c = machine.init(rec.sentence)
+        for a in actions:
+            feats = dec.extract_features(c, rec.deps)
+            legal = dec._concrete_candidates(machine, c)
+            assert [repr(s) for s in view.scores(feats, legal)] == [
+                repr(s) for s in model.score_actions(model.buckets(feats), legal)]
+            assert len(view._rows) <= 50 + len(feats)
+            c = machine.apply(c, a)
+    assert model.decode_view() is view
 
 
 def test_model_json_roundtrip(trained):
@@ -555,6 +618,15 @@ def test_log_softmax_equals_numpy_formula(values):
     assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
+@given(st.lists(SCORES, min_size=1, max_size=30), st.floats(-1e6, 1e6))
+def test_log_softmax_ignores_the_sign_of_zero(values, x):
+    # the beam memoizes the log-softmax by value, and 0.0 == -0.0
+    for a, b in (([-0.0, x], [0.0, x]), ([x, -0.0], [x, 0.0]),
+                 (values, [-v if v == 0 else v for v in values])):
+        assert [repr(v) for v in dec._log_softmax(a)] == \
+            [repr(v) for v in dec._log_softmax(b)]
+
+
 def test_oracle_equals_gold_with_constraints_off(trained, corpus_items):
     machine = dec.machine_from_actions([a for _, a in corpus_items])
     for rec, actions in corpus_items:
@@ -723,14 +795,16 @@ class _MenuRecording(dec.PerceptronScorer):
 
 class _Undeclared:
     """Delegates to a scorer but declares no forced_moves_free, so the beam
-    scores every item; records the length of every menu it scores."""
+    scores every item; records every call and the length of its menu."""
 
     def __init__(self, scorer):
         self.scorer = scorer
         self.menus = []
+        self.calls = []
 
     def score(self, c, features, legal):
         self.menus.append(len(legal))
+        self.calls.append((c.steps, features, tuple(legal)))
         return self.scorer.score(c, features, legal)
 
 
@@ -752,20 +826,91 @@ def test_beam_skips_forced_moves(trained, corpus_lexicon):
     assert forced
 
 
-def test_undeclared_scorer_is_called_for_every_item(trained, corpus_lexicon,
-                                                    monkeypatch):
+def test_undeclared_scorer_is_called_for_every_item(trained, corpus_lexicon):
+    # the reference expands the same items in the same order, and more
+    # after the beam's early stop, and scores every one of them
     model, machine = trained
-    expansions = []
-    candidates = dec._concrete_candidates
-    monkeypatch.setattr(dec, "_concrete_candidates",
-                        lambda m, c: expansions.append(c) or candidates(m, c))
-    scorer = _Undeclared(dec.PerceptronScorer(model))
+    kw = dict(beam_size=10, grammar=TypeGrammar.default(), lexicon=corpus_lexicon)
+    forced = 0
     for rec in load_mini_corpus()[:8]:
-        dec.beam_decode(rec.sentence, scorer, machine, beam_size=10,
-                        grammar=TypeGrammar.default(), lexicon=corpus_lexicon,
-                        dep=rec.deps)
-    assert len(scorer.menus) == len(expansions)
-    assert 1 in scorer.menus
+        got = _Undeclared(dec.PerceptronScorer(model))
+        want = _Undeclared(dec.PerceptronScorer(model))
+        dec.beam_decode(rec.sentence, got, machine, dep=rec.deps, **kw)
+        _reference_beam_decode(rec.sentence, want, machine, dep=rec.deps, **kw)
+        assert got.calls == want.calls[:len(got.calls)]
+        forced += got.menus.count(1)
+    assert forced
+
+
+def test_lexicon_fallback_decode_matches_eager_reference(trained, corpus_lexicon,
+                                                         monkeypatch):
+    # every other stem of the corpus lexicon allows only an atom that no
+    # SUFFIX action makes, so the filter falls back there and keeps the
+    # corpus atoms elsewhere; the menu memo keeps both kinds of position
+    model, machine = trained
+    table = {stem: {"zzz.zzz"} if i % 2 else allowed
+             for i, (stem, allowed) in enumerate(sorted(corpus_lexicon.table.items()))}
+    lexicon = Lexicon(table)
+    kept = []
+    monkeypatch.setattr(dec, "lexicon_filter",
+                        lambda *args: kept.append(lexicon_filter(*args)) or kept[-1])
+    for rec in load_mini_corpus()[:10]:
+        kw = dict(beam_size=10, grammar=TypeGrammar.default(), lexicon=lexicon,
+                  dep=rec.deps)
+        got = dec.beam_decode(rec.sentence, dec.PerceptronScorer(model), machine, **kw)
+        want = _reference_beam_decode(rec.sentence, dec.PerceptronScorer(model),
+                                      machine, **kw)
+        assert got == want
+        assert repr(got.score) == repr(want.score)
+    assert set() in kept and any(kept)
+
+
+def _compensated_sum(iterable, start=0):
+    """The builtin sum as CPython 3.12 computes it over floats: Neumaier's
+    compensated running sum, with the compensation added at the end when
+    it is nonzero and finite.  Other items sum as the running builtin
+    does."""
+    values = list(iterable)
+    if not all(type(v) is float for v in values):
+        return builtins.sum(values, start)
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+def test_decode_bits_do_not_depend_on_the_builtin_sum(trained, corpus_items,
+                                                      corpus_lexicon, monkeypatch):
+    # Python 3.12 changed how sum adds floats; a decode must give the same
+    # actions and score bits under either algorithm
+    model, machine = trained
+    kw = dict(beam_size=10, grammar=TypeGrammar.default(), lexicon=corpus_lexicon)
+    recs = load_mini_corpus()[:8]
+    want = [dec.beam_decode(rec.sentence, dec.PerceptronScorer(model), machine,
+                            dep=rec.deps, **kw) for rec in recs]
+    rec, actions = corpus_items[5]
+    walk, c = [], machine.init(rec.sentence)
+    for a in actions:
+        walk.append((model.buckets(dec.extract_features(c, rec.deps)),
+                     dec._concrete_candidates(machine, c)))
+        c = machine.apply(c, a)
+    plain = [[repr(s) for s in model.score_actions(b, legal)] for b, legal in walk]
+    monkeypatch.setattr(dec, "sum", _compensated_sum, raising=False)
+    # the emulation reaches the per-action sums, and changes some bits
+    assert plain != [[repr(s) for s in model.score_actions(b, legal)]
+                     for b, legal in walk]
+    for rec, w in zip(recs, want):
+        got = dec.beam_decode(rec.sentence, dec.PerceptronScorer(model), machine,
+                              dep=rec.deps, **kw)
+        assert got.actions == w.actions
+        assert repr(got.score) == repr(w.score)
 
 
 class _TieScorer:
