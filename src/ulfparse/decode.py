@@ -1,7 +1,8 @@
 """Beam-search decoding with a pluggable scorer.
 
 The scorer interface is ``score(config, features, legal) -> list``: one
-log-weight per legal action, in the order of legal.  features is the
+log-weight per legal action, in the order of legal, a tuple the beam
+shares between calls, which a scorer must not change.  features is the
 tuple of binary feature strings that extract_features gives the
 configuration: a feature is present or absent, and has no value.  A
 scorer whose forced_moves_free is true promises a finite reply without
@@ -537,58 +538,54 @@ class WeightView:
     one row per weight row the decoder has read and one column per
     action, plus a last column of zeros for the actions the model lacks.
 
-    Row 0 is all zeros.  A bucket gets its row the first time a feature
-    maps to it, and a bucket without weights shares row 0.  The matrix is
+    Row 0 is all zeros.  A bucket gets its row the first time it is
+    read, and a bucket without weights reads row 0.  The matrix is
     allocated zeroed for every row up front, (rows + 1) x (actions + 1) x
     8 bytes, but the pages of rows never written take no memory.  The
-    feature -> row memo holds up to BUCKET_MEMO_SIZE features before it
-    starts over; the rows already written stay, as the bucket -> row map
-    is never cleared.  version is the model's (updates, averaged, number
-    of actions) when the view was built: the weights it copies change
-    only with the first two, and its columns with the third.
+    bucket -> row map is never cleared, and holds at most one entry per
+    bucket, dim in all.  version is the model's (updates, averaged,
+    number of actions) when the view was built: the weights it copies
+    change only with the first two, and its columns with the third.
+
+    Training keeps score_actions: its weights change between most calls,
+    and a matrix kept in step with each update made training slower
+    (README, "What decoding caches").
     """
 
     def __init__(self, model):
         self.version = (model.updates, model.averaged, len(model.actions))
         self.matrix = np.zeros((len(model.weights) + 1, len(model.actions) + 1))
-        self._weights, self._salt, self._dim = model.weights, model.salt, model.dim
+        self._weights = model.weights
         self._col_of = dict(model.action_ids)
         self._written = 0   # rows written, after row 0
         self._row_of = {}   # bucket -> row
-        self._rows = {}     # feature -> row
 
-    def _row(self, feature):
-        b = _bucket(feature, self._salt, self._dim)
-        row = self._row_of.get(b)
-        if row is None:
-            weights = self._weights.get(b)
-            row = 0
-            if weights:
-                row = self._written = self._written + 1
-                self.matrix[row, list(weights)] = list(weights.values())
-            self._row_of[b] = row
+    def _row(self, b):
+        weights = self._weights.get(b)
+        if not weights:
+            return 0
+        row = self._written = self._written + 1
+        self.matrix[row, list(weights)] = list(weights.values())
         return row
 
-    def scores(self, features, legal) -> list:
+    def scores(self, buckets, legal) -> list:
         """The score of each legal action, as score_actions gives it.
 
-        The block of the feature rows, after row 0, and the menu's
+        The block of the buckets' rows, after row 0, and the menu's
         columns is summed down its rows by np.add.accumulate, a running
         sum from top to bottom, so each column's last entry is +0.0 plus
-        the action's weights in feature order, zeros included.  That is
+        the action's weights in bucket order, zeros included.  That is
         score_actions' sum bit for bit: row 0 stands for the builtin
         sum's +0.0 start, and the zeros change no bit (score_actions).
         """
-        memo = self._rows
-        if len(memo) > BUCKET_MEMO_SIZE:
-            memo.clear()
+        row_of = self._row_of
         try:
-            rows = [0, *map(memo.__getitem__, features)]
+            rows = [0, *map(row_of.__getitem__, buckets)]
         except KeyError:
-            for f in features:
-                if f not in memo:
-                    memo[f] = self._row(f)
-            rows = [0, *map(memo.__getitem__, features)]
+            for b in buckets:
+                if b not in row_of:
+                    row_of[b] = self._row(b)
+            rows = [0, *map(row_of.__getitem__, buckets)]
         col_of, missing = self._col_of, len(self._col_of)
         cols = [col_of.get(a, missing) for a in legal]
         block = self.matrix.take(rows, 0).take(cols, 1)
@@ -750,10 +747,9 @@ class OracleScorer:
 
 
 class PerceptronScorer:
-    """Scores with a PerceptronModel: the list PerceptronModel.score_actions
-    gives the configuration's buckets and the legal actions, the same
-    bits per action as score_buckets, computed from the model's
-    decode_view.
+    """Scores with a PerceptronModel: the scores of the configuration's
+    buckets from the model's decode_view, the bits of score_actions and
+    score_buckets for each legal action.
 
     The model's weights are bounded, so every score is finite, and the
     beam calls the scorer only for menus of two or more actions.  Beam
@@ -787,7 +783,8 @@ class PerceptronScorer:
         key = (features, tuple(legal))
         scores = memo.get(key)
         if scores is None:
-            scores = memo[key] = model.decode_view().scores(features, key[1])
+            scores = memo[key] = model.decode_view().scores(model.buckets(features),
+                                                            key[1])
         return scores
 
 
