@@ -30,17 +30,19 @@ def olap(x: str, y: str) -> float:
 
 
 def _lcs_len(x: str, y: str) -> int:
-    # substring (contiguous), not subsequence
-    prev = [0] * (len(y) + 1)
-    best = 0
-    for i in range(1, len(x) + 1):
-        cur = [0] * (len(y) + 1)
-        for j in range(1, len(y) + 1):
-            if x[i - 1] == y[j - 1]:
-                cur[j] = prev[j - 1] + 1
-                if cur[j] > best:
-                    best = cur[j]
-        prev = cur
+    """Length of the longest common substring (contiguous, not a
+    subsequence).  For each start in the shorter string, only lengths
+    above the best so far are tried, with `in`: a substring that occurs
+    in y has every prefix in y too, so growing one character at a time
+    finds the longest match from that start once it beats the best."""
+    if len(x) > len(y):
+        x, y = y, x
+    n = len(x)
+    best = i = 0
+    while i + best < n:
+        while i + best < n and x[i:i + best + 1] in y:
+            best += 1
+        i += 1
     return best
 
 

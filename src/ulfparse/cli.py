@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import sys
 from dataclasses import dataclass
@@ -79,6 +80,9 @@ class CorpusRecord:
 
 
 _WORD_FIELDS = ("tokens", "lemmas", "pos", "ner")
+# a character that splits or ends a symbol in the ULF reader: a token or
+# lemma holding one would render as a symbol the reader refuses or splits
+_SYMBOL_BREAK = re.compile(r"[\s|]")
 
 
 def record_from_obj(obj, lineno="?") -> CorpusRecord:
@@ -133,6 +137,11 @@ def record_from_obj(obj, lineno="?") -> CorpusRecord:
             if not all(isinstance(w, str) for w in obj.get(key, ()))))
     except ValueError as e:  # a Token refuses an empty word
         fail(str(e))
+    for key in ("tokens", "lemmas"):
+        # one search of the field's words joined, as nearly every field is clean
+        if _SYMBOL_BREAK.search("".join(obj[key])):
+            word = next(w for w in obj[key] if _SYMBOL_BREAK.search(w))
+            fail("%s %r holds whitespace or '|'" % (key[:-1], word))
     return CorpusRecord(str(obj["id"]), sentence, deps, ulf)
 
 

@@ -639,7 +639,8 @@ def train_perceptron(items, epochs=5, seed=0, machine=None, dim=1 << 18):
     oracle step the model is updated when its argmax over legal actions
     differs from the gold action.  Deterministic given seed and corpus
     order.  Each step's buckets and menu are extracted once (step_table),
-    and every epoch runs over them.
+    and every epoch runs over the steps with two or more legal actions;
+    the average still counts every step.
     """
     seqs = [seq for _, _, seq in items]
     total_steps = sum(len(s) for s in seqs)
@@ -665,9 +666,10 @@ def train_perceptron(items, epochs=5, seed=0, machine=None, dim=1 << 18):
                 legal = menus[mi]
                 step_buckets = buckets[offsets[k]:offsets[k + 1]]
                 scores = model.score_actions(step_buckets, legal)
-                # runner-up among the non-gold actions, ties broken by the
-                # canonical order; update unless gold wins by a margin,
-                # so the learned separation survives weight averaging
+                # runner-up among the non-gold actions (a stored menu has
+                # one), ties broken by the canonical order; update unless
+                # gold wins by a margin, so the learned separation
+                # survives weight averaging
                 gold_score = scores[golds[k]]
                 gold_action = legal[golds[k]]
                 rival, rival_score = None, None
@@ -676,7 +678,7 @@ def train_perceptron(items, epochs=5, seed=0, machine=None, dim=1 << 18):
                         continue
                     if rival_score is None or s > rival_score:
                         rival, rival_score = a, s
-                if rival is not None and gold_score - rival_score < 1.0:
+                if gold_score - rival_score < 1.0:
                     model.add_action(rival)
                     model.update(step_buckets, gold_action, rival)
     model.finalize(max(epochs * total_steps, 1))
@@ -684,18 +686,22 @@ def train_perceptron(items, epochs=5, seed=0, machine=None, dim=1 << 18):
 
 
 def step_table(model, machine, items):
-    """The teacher-forced steps of every item, (menus, table).
+    """The teacher-forced steps of every item that can update, (menus,
+    table).
 
     Features, legal menus and configurations do not depend on the
-    weights, so training extracts them once per run.  menus holds each
-    distinct menu once: the concrete legal actions in canonical order,
-    then the gold action if they lack it (where it stands changes no
-    runner-up, as ties go to the first of the other actions).  table[i]
-    is (buckets, offsets, menu_ids, golds) for items[i], four
-    array('i'): step k has the bucket ids buckets[offsets[k]:offsets[k +
-    1]] of its features, in feature order, the menu menus[menu_ids[k]],
-    and its gold action at index golds[k] of that menu.  A step of about
-    51 features takes about 225 bytes.
+    weights, so training extracts them once per run.  A step's menu is
+    the concrete legal actions in canonical order, then the gold action
+    if they lack it (where it stands changes no runner-up, as ties go to
+    the first of the other actions).  Only steps whose menu holds two or
+    more actions are stored: a one-action menu is the gold action alone,
+    which has no rival and so never updates, and its features are never
+    extracted.  menus holds each distinct stored menu once.  table[i] is
+    (buckets, offsets, menu_ids, golds) for items[i], four array('i'):
+    stored step k has the bucket ids buckets[offsets[k]:offsets[k + 1]]
+    of its features, in feature order, the menu menus[menu_ids[k]], and
+    its gold action at index golds[k] of that menu.  A stored step of
+    about 52 features takes about 230 bytes.
     """
     menus, menu_ids = [], {}
     table = []
@@ -705,18 +711,19 @@ def step_table(model, machine, items):
         buckets, offsets = array("i"), array("i", [0])
         ids, golds = array("i"), array("i")
         for gold_action in seq:
-            buckets.extend(model.buckets(extract_features(c, dep, frags)))
-            offsets.append(len(buckets))
             legal = _concrete_candidates(machine, c)
             if gold_action not in legal:
                 legal.append(gold_action)
-            menu = tuple(legal)
-            mi = menu_ids.get(menu)
-            if mi is None:
-                mi = menu_ids[menu] = len(menus)
-                menus.append(menu)
-            ids.append(mi)
-            golds.append(legal.index(gold_action))
+            if len(legal) > 1:
+                buckets.extend(model.buckets(extract_features(c, dep, frags)))
+                offsets.append(len(buckets))
+                menu = tuple(legal)
+                mi = menu_ids.get(menu)
+                if mi is None:
+                    mi = menu_ids[menu] = len(menus)
+                    menus.append(menu)
+                ids.append(mi)
+                golds.append(legal.index(gold_action))
             c = machine.apply(c, gold_action)
         table.append((buckets, offsets, ids, golds))
     return menus, table

@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ulfparse.align import AlignmentMap, align, olap, rl, sim
+from ulfparse.align import AlignmentMap, _lcs_len, align, olap, rl, sim
 from ulfparse.core import Sentence, Token, parse_atom, parse_sexpr, tree_to_graph
 from ulfparse.oracle import DEFAULT_PROMOTE_SYMBOLS
+
+from reference_align import reference_lcs_len
 
 NEVER = frozenset(DEFAULT_PROMOTE_SYMBOLS)
 
@@ -13,8 +15,7 @@ def brute_olap(x, y):
     if not x or not y:
         return 0.0
     best = 0
-    for xs in (x, x.lower()):
-        ys = y if xs is x else y.lower()
+    for xs, ys in ((x, y), (x.lower(), y.lower())):
         for i in range(len(xs)):
             for j in range(i + 1, len(xs) + 1):
                 if xs[i:j] in ys:
@@ -30,10 +31,23 @@ def test_olap_examples():
     assert olap("", "anything") == 0.0
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.text(alphabet="abcAB", max_size=8), st.text(alphabet="abcAB", max_size=8))
+# words and atoms as a corpus spells them: mixed case, digits, the
+# characters of symbol tags and multiword names, and one non-ASCII letter
+_word = st.text(alphabet="abcABC019._É", max_size=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_word, _word)
 def test_olap_matches_bruteforce(x, y):
-    assert olap(x, y) == pytest.approx(brute_olap(x, y))
+    # exact: olap's bits decide the order of the alignment sort
+    assert olap(x, y) == brute_olap(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_word, _word)
+def test_lcs_len_equals_reference(x, y):
+    assert _lcs_len(x, y) == reference_lcs_len(x, y)
+    assert _lcs_len(x.lower(), y.lower()) == reference_lcs_len(x.lower(), y.lower())
 
 
 def test_rl():

@@ -1,7 +1,8 @@
 """The benchmark's one-round outputs stay byte-identical: the digests that
 `bench/run.py --seed 1 --seconds 0.001` prints, one round of each
 workload (the first train round, one pass over the parse sample, the
-first eval round of five pairs)."""
+first eval round of five pairs), and the outputs of the first five train
+rounds, whose longer oracle sequences hold more one-action steps."""
 
 import importlib
 import os
@@ -34,3 +35,15 @@ def test_one_round_digest_is_unchanged(workloads, tmp_path, name):
     done = [w.run(u) for u in units]
     assert w.check(done).problems == []
     assert workloads.digest(d.output for d in done) == ROUND_DIGESTS[name]
+
+
+# digest of the models of train rounds 0-4 of seed 1, in order
+FIVE_TRAIN_ROUNDS_DIGEST = "38ffc010d7dae5f3"
+
+
+def test_five_train_rounds_digest_is_unchanged(workloads, tmp_path):
+    w = workloads.WORKLOADS["train"](1, str(tmp_path))
+    w.setup()
+    done = [w.run(u) for u in w.rounds[:5]]
+    assert w.check(done).problems == []
+    assert workloads.digest(d.output for d in done) == FIVE_TRAIN_ROUNDS_DIGEST

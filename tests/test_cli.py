@@ -113,6 +113,24 @@ def test_ingest_malformed_record_names_the_field(tmp_path, line, named):
         ingest(str(p))
 
 
+@pytest.mark.parametrize("field", ["tokens", "lemmas"])
+@pytest.mark.parametrize("word", ["T|m", "|", "a b", "T\nm", "a\tb", "a\u00a0b"])
+def test_word_that_breaks_a_symbol_is_refused(tmp_path, tiny_file, capsys, field, word):
+    # the symbol a token or lemma becomes would not read back as one atom
+    from ulfparse.core import Atom, UlfSyntaxError, parse_sexpr
+    atom = Atom(word.lower(), "suffixed", "n")
+    with pytest.raises(UlfSyntaxError):
+        parse_sexpr(atom.render())
+    rows = [json.loads(line) for line in open(tiny_file)]
+    rows[2][field][0] = word
+    path = tmp_path / "words.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    capsys.readouterr()
+    assert run(["train", str(path), str(tmp_path / "m.json"), "--epochs", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 3: %s %r holds whitespace or '|'" % (field[:-1], word)]
+
+
 def test_record_annotations_are_interned():
     obj = {"id": "x", "tokens": ["Dogs", "run"], "lemmas": ["dog", "run"],
            "pos": ["NNS", "VBP"], "ner": ["O", "O"], "deps": [[2, "nsubj"], [0, "root"]]}
@@ -611,12 +629,15 @@ def _mutated_fields(row, edits):
 def test_train_and_parse_on_generated_corpus_fields_end_cleanly(fuzz_files, edits):
     # each record's words, tags and dependencies replaced, dropped or
     # repeated: train ends with exit 0 and no message, or exit 1 and one
-    # error: line, and so does parse with the model it wrote
+    # error: line, and so does parse with the model it wrote; train refuses
+    # a corpus whose tokens or lemmas hold whitespace or '|'
     root, corpus, _ = fuzz_files
     with open(corpus) as fh:
         rows = [json.loads(line) for line in fh]
     for row, record_edits in zip(rows, edits):
         _mutated_fields(row, record_edits)
+    breaks_symbol = any(isinstance(w, str) and re.search(r"[\s|]", w)
+                        for row in rows for w in row["tokens"] + row["lemmas"])
     mutated = root / "fields.jsonl"
     mutated.write_text("".join(json.dumps(row) + "\n" for row in rows))
     model = root / "fields-model.json"
@@ -631,7 +652,7 @@ def test_train_and_parse_on_generated_corpus_fields_end_cleanly(fuzz_files, edit
             assert code == 1
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
             break
-        assert lines == []
+        assert lines == [] and not breaks_symbol
 
 
 # -- model fuzzing --------------------------------------------------------------

@@ -138,24 +138,64 @@ def test_step_table_training_equals_reference(corpus_items, seed):
     assert model.to_json() == ref.to_json()
 
 
-def test_step_table_layout(corpus_items):
+def _multi_action_steps(machine, items):
+    """Each item's replayed steps whose menu (the concrete legal actions,
+    then the gold action if they lack it) holds two or more actions, as
+    (configuration, menu, gold index)."""
+    per_item = []
+    for sentence, dep, acts in items:
+        c, steps = machine.init(sentence), []
+        for gold in acts:
+            menu = dec._concrete_candidates(machine, c)
+            if gold not in menu:
+                menu.append(gold)
+            if len(menu) > 1:
+                steps.append((c, tuple(menu), menu.index(gold)))
+            c = machine.apply(c, gold)
+        per_item.append(steps)
+    return per_item
+
+
+@pytest.mark.parametrize("open_vocabulary", [False, True])
+def test_step_table_layout(corpus_items, open_vocabulary):
+    # the table stores exactly the replay's multi-action steps, with their
+    # buckets, menus and gold indices; a one-action step cannot update
     items = [(rec.sentence, rec.deps, acts) for rec, acts in corpus_items[:4]]
-    machine = dec.machine_from_actions([acts for _, _, acts in items])
+    machine = tm.Machine() if open_vocabulary else \
+        dec.machine_from_actions([acts for _, _, acts in items])
     model = dec.PerceptronModel(actions=[], salt=5)
     menus, table = dec.step_table(model, machine, items)
     assert len(menus) == len(set(menus)) and len(table) == len(items)
-    for (sentence, dep, acts), (buckets, offsets, menu_ids, golds) in zip(items, table):
-        assert len(offsets) == len(acts) + 1 and offsets[-1] == len(buckets)
+    expected = _multi_action_steps(machine, items)
+    assert sum(len(steps) for steps in expected) < sum(len(a) for _, _, a in items)
+    for (sentence, dep, _), steps, (buckets, offsets, menu_ids, golds) in \
+            zip(items, expected, table):
+        assert len(offsets) == len(steps) + 1 and offsets[-1] == len(buckets)
+        assert len(menu_ids) == len(golds) == len(steps)
         frags = dec.SentenceFeatures(sentence, dep)
-        c = machine.init(sentence)
-        for k, gold in enumerate(acts):
+        for k, (c, menu, gold_index) in enumerate(steps):
             feats = dec.extract_features(c, dep, frags)
             assert list(buckets[offsets[k]:offsets[k + 1]]) == \
                 [dec._bucket(f, 5, model.dim) for f in feats]
-            legal = menus[menu_ids[k]]
-            assert legal[golds[k]] == gold
-            assert set(dec._concrete_candidates(machine, c)) <= set(legal)
-            c = machine.apply(c, gold)
+            assert menus[menu_ids[k]] == menu and golds[k] == gold_index
+    assert set(menus) == {menu for steps in expected for _, menu, _ in steps}
+
+
+def test_training_extracts_features_once_per_multi_action_step(corpus_items,
+                                                                 monkeypatch):
+    items = [(rec.sentence, rec.deps, acts) for rec, acts in corpus_items]
+    machine = dec.machine_from_actions([acts for _, _, acts in items])
+    calls = []
+
+    def counted(c, dep=None, frags=None):
+        calls.append(c)
+        return extract(c, dep, frags)
+
+    extract = dec.extract_features
+    monkeypatch.setattr(dec, "extract_features", counted)
+    dec.train_perceptron(items, epochs=3, seed=0, machine=machine)
+    expected = [c for steps in _multi_action_steps(machine, items) for c, _, _ in steps]
+    assert len(calls) == len(expected) and calls == expected
 
 
 def _assert_per_action_sums(model, scorer, c, feats, legal):
