@@ -82,9 +82,6 @@ class AlignmentMap:
     def words_of(self, vid: int) -> list[int]:
         return sorted(w for w, v in self.token_pairs if v == vid)
 
-    def vertices_of(self, widx: int) -> list[int]:
-        return sorted(v for w, v in self.token_pairs if w == widx)
-
     def vertex_alignment(self, vid: int):
         """First aligned word of a vertex, or None."""
         words = self.words_of(vid)

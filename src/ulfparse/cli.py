@@ -233,7 +233,7 @@ def _harvest_inseq(records, promote_syms):
                   promote_syms)
 
 
-def _oracle_items(records, promote_syms, step_cap):
+def _oracle_items(records, promote_syms, step_cap=tm.DEFAULT_STEP_CAP):
     """(record, actions) for each record, extracting with alignment."""
     aligned = _align_golds(records, promote_syms)
     inseq = _inseq(aligned, promote_syms)
@@ -355,6 +355,8 @@ def cmd_train(args):
 
 
 def cmd_parse(args):
+    if args.scorer == "perceptron" and not args.model:
+        raise CorpusError("the perceptron scorer needs --model")
     records = ingest(args.corpus)
     lexicon = Lexicon.load(args.lexicon) if args.lexicon else None
     grammar = None
@@ -368,14 +370,13 @@ def cmd_parse(args):
     oracle_actions = None
     if args.scorer == "oracle":
         # replay mode needs gold graphs; the machine vocab comes from them
-        items = _oracle_items(records, args.promote_syms, args.cap)
+        items = _oracle_items(records, args.promote_syms)
         machine = dec.machine_from_actions([a for _, a in items])
         oracle_actions = {rec.id: a for rec, a in items}
     elif model is not None and model.vocab:
         machine = model.make_machine()
     elif args.train_corpus:
-        items = _oracle_items(ingest(args.train_corpus), args.promote_syms,
-                              args.cap)
+        items = _oracle_items(ingest(args.train_corpus), args.promote_syms)
         machine = dec.machine_from_actions([a for _, a in items])
     else:
         raise CorpusError(
@@ -495,10 +496,10 @@ class _out:
 # Argument parsing
 
 
-def _add_common(p, cap=True, promote=True, seed=False):
-    if cap:
-        p.add_argument("--cap", type=int, default=tm.DEFAULT_STEP_CAP,
-                       help="maximum action length")
+def _add_common(p, cap=tm.DEFAULT_STEP_CAP, promote=True, seed=False):
+    if cap is not None:
+        p.add_argument("--cap", type=int, default=cap,
+                       help="maximum action length (default: %(default)s)")
     if promote:
         p.add_argument("--promote-syms", nargs="*",
                        default=list(oracle.DEFAULT_PROMOTE_SYMBOLS),
@@ -541,7 +542,7 @@ def build_parser():
     p = sub.add_parser("align", help="dump word/atom alignments")
     p.add_argument("corpus")
     p.add_argument("-o", "--output")
-    _add_common(p, cap=False)
+    _add_common(p, cap=None)
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("oracle", help="extract gold action sequences")
@@ -578,8 +579,9 @@ def build_parser():
                    help="enable the type-composition constraint")
     p.add_argument("--grammar", help="type grammar file (default: bundled)")
     p.add_argument("--train-corpus",
-                   help="corpus supplying decode vocabularies (default: corpus)")
-    _add_common(p, seed=True)
+                   help="gold corpus whose oracle sequences supply the decode "
+                        "vocabularies when --model gives none")
+    _add_common(p, cap=tm.DEFAULT_DECODE_CAP, seed=True)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("eval", help="score candidate parses against gold")

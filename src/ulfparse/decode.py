@@ -1010,7 +1010,7 @@ def _lexicon_filtered(machine, c, actions, lexicon):
     suffix_actions = [a for a in actions if tm.action_kind(a) == "SUFFIX"]
     if not suffix_actions:
         return actions
-    word = c.front_tokens()[0]
+    word = c.sentence.token(c.cursor)
     candidates = {a: machine.make_symbol(c, a.split(":", 1)[1]).render()
                   for a in suffix_actions}
     kept = lexicon_filter(word, set(candidates.values()), lexicon)

@@ -45,6 +45,7 @@ from .core import (
     UlfGraph,
     UlfSyntaxError,
     Vertex,
+    _SEXPR_TOKEN,
     graph_fragments,
     parse_atom,
 )
@@ -64,7 +65,11 @@ POP = "POP"
 PHASES = (GEN, WORDGEN, NAMEGEN, LEMMAGEN, TOKENGEN, PUSH, ARC, PROMOTE, PROMOTEARC, POP)
 
 CACHE_SIZE = 2  # fixed; only tree structures are parsed
-DEFAULT_STEP_CAP = 800
+# the oracle's bound on a gold sequence; those of 31 synthetic corpora
+# (bench/corpus.py) run to 981 actions
+DEFAULT_STEP_CAP = 2000
+# the decoder's bound on a hypothesis, Machine.step_cap
+DEFAULT_DECODE_CAP = 800
 
 # Canonical action-kind order, used for deterministic tie-breaking.
 _KIND_ORDER = [
@@ -160,6 +165,33 @@ _NOPROMOTE = ("NOPROMOTE",)
 _POP_NOPOP = ("POP", "NOPOP")
 _NOPOP = ("NOPOP",)
 _NOTHING = ((), ())
+# the WORDGEN offers, indexed [lemma reads back][token reads back]
+_WORDGEN_BARE = ((("NAME",), ("NAME", "TOKEN")),
+                 (("NAME", "LEMMA"), ("NAME", "LEMMA", "TOKEN")))
+
+
+def front_stems(sentence: Sentence, cursor: int, merged: int):
+    """(name, token, lemma): the stems that NAME, TOKEN and LEMMA spell
+    from the merged words cursor .. cursor + merged - 1.  A name joins
+    the surfaces with spaces; a token stem joins the lowercased surfaces
+    and a lemma stem the lowercased lemmas with underscores."""
+    if merged == 1:  # most fronts: the same stems without the joins
+        t = sentence.tokens[cursor - 1]
+        return t.surface, t.surface.lower(), t.lemma.lower()
+    toks = sentence.tokens[cursor - 1:cursor - 1 + merged]
+    return (" ".join([t.surface for t in toks]),
+            "_".join([t.surface.lower() for t in toks]),
+            "_".join([t.lemma.lower() for t in toks]))
+
+
+def _reads_back(stem: str) -> bool:
+    """Whether the atoms built on a TOKEN or LEMMA stem read back as
+    themselves: the reader's tokenizer gives the stem as one atom token
+    (not a delimiter, a comment, several tokens or a name in pipes), and
+    it holds no dot, where the reader would split stem from tag.  So "(",
+    ";x", "a b" and "u.s" fail, and "a;b" passes."""
+    return ("." not in stem and stem[:1] not in "()|"
+            and _SEXPR_TOKEN.findall(stem) == [stem])
 
 
 def _set_parent(parents, vid, parent):
@@ -202,10 +234,6 @@ class Config:
     def buffer_empty(self) -> bool:
         return self.cursor > len(self.sentence)
 
-    def front_tokens(self):
-        """The merged word group at the front of the buffer."""
-        return [self.sentence.token(self.cursor + k) for k in range(self.merged)]
-
     def parent_of(self, vid: int) -> Optional[int]:
         return self.parents[vid]
 
@@ -229,7 +257,7 @@ class Machine:
     """
 
     def __init__(self, arc_labels=None, suffixes=None, symgen_vocab=None,
-                 promote_syms=None, step_cap=DEFAULT_STEP_CAP):
+                 promote_syms=None, step_cap=DEFAULT_DECODE_CAP):
         self.arc_labels = list(arc_labels) if arc_labels is not None else None
         self.suffixes = list(suffixes) if suffixes is not None else None
         self.symgen_vocab = list(symgen_vocab) if symgen_vocab is not None else None
@@ -243,7 +271,6 @@ class Machine:
         # (menus, bare actions) of the phases whose offer is constant
         suffix = ((_menu("SUFFIX:", self.suffixes),), ())
         self._fixed = {
-            WORDGEN: ((), ("NAME", "LEMMA", "TOKEN")),
             NAMEGEN: suffix,
             LEMMAGEN: suffix,
             TOKENGEN: suffix,
@@ -298,6 +325,9 @@ class Machine:
             if c.cursor + c.merged <= len(c.sentence):
                 return self._symgen, _MERGE_SKIP_WORDGEN
             return self._symgen, (() if c.buffer_empty else _SKIP_WORDGEN)
+        if phase == WORDGEN:
+            _, token, lemma = front_stems(c.sentence, c.cursor, c.merged)
+            return (), _WORDGEN_BARE[_reads_back(lemma)][_reads_back(token)]
         return self._fixed.get(phase, _NOTHING)
 
     def legal_actions(self, c: Config) -> list[str]:
@@ -412,14 +442,10 @@ class Machine:
         raise IllegalAction("unknown action %r" % action)
 
     def make_symbol(self, c: Config, ext: str) -> Atom:
-        toks = c.front_tokens()
+        name, token, lemma = front_stems(c.sentence, c.cursor, c.merged)
         if c.phase == NAMEGEN:
-            stem = " ".join(t.surface for t in toks)
-            return Atom(stem, NAME, ext)
-        if c.phase == TOKENGEN:
-            stem = "_".join(t.surface.lower() for t in toks)
-        else:  # LEMMAGEN
-            stem = "_".join(t.lemma.lower() for t in toks)
+            return Atom(name, NAME, ext)
+        stem = token if c.phase == TOKENGEN else lemma
         return Atom(stem, SUFFIXED, ext) if ext else Atom(stem, OPERATOR)
 
     def replay(self, sentence: Sentence, actions) -> Config:

@@ -174,24 +174,16 @@ class Oracle:
         if target is not None and not c.buffer_empty:
             atom = self.gold.vertices[target].symbol
             b, is_name = atom.stem, atom.is_name
-            toks = c.front_tokens()
-            name_join = " ".join(t.surface for t in toks)
-            tok_join = "_".join(t.surface.lower() for t in toks)
-            lem_join = "_".join(t.lemma.lower() for t in toks)
             # 1-3: the word at the front spells the target stem
-            if is_name and name_join == b:
+            name, token, lemma = tm.front_stems(self.sentence, c.cursor, c.merged)
+            if b in ((name,) if is_name else (token, lemma)):
                 return "WORDGEN"
-            if not is_name and (tok_join == b or lem_join == b):
-                return "WORDGEN"
-            # 4: the front group extends toward a multi-word stem
+            # 4: the front group and the next word begin a multi-word stem
             if c.cursor + c.merged <= len(c.sentence):
-                nxt = self.sentence.token(c.cursor + c.merged)
-                if is_name and b.startswith(name_join + " " + nxt.surface):
-                    return "MERGEBUF"
-                if not is_name and (
-                    b.lower().startswith(lem_join + "_" + nxt.lemma.lower())
-                    or b.lower().startswith(tok_join + "_" + nxt.surface.lower())
-                ):
+                name, token, lemma = tm.front_stems(self.sentence, c.cursor,
+                                                    c.merged + 1)
+                if (b.startswith(name) if is_name
+                        else b.lower().startswith((lemma, token))):
                     return "MERGEBUF"
         # 5: generate the target without a word
         if target is not None and self._symgen_now(c, target):
@@ -223,9 +215,8 @@ class Oracle:
         atom = self.gold.vertices[self.next_gen_target()].symbol
         if atom.is_name:
             return "NAME"
-        if "_".join(t.surface.lower() for t in c.front_tokens()) == atom.stem:
-            return "TOKEN"
-        return "LEMMA"
+        _, token, _ = tm.front_stems(self.sentence, c.cursor, c.merged)
+        return "TOKEN" if token == atom.stem else "LEMMA"
 
     def _push_action(self, c):
         g = self.hyp2gold[c.pending]

@@ -228,11 +228,12 @@ def tree_type(tree, grammar: TypeGrammar, violations=None, path=()):
 
 
 def check_graph(graph, grammar: TypeGrammar) -> list:
-    """Zero-violation check over a gold graph; returns failing node paths."""
+    """Zero-violation check over a gold graph or a decoder fragment, read
+    as graph_to_tree(strict=False) reads it; returns failing node paths."""
     from .core import graph_to_tree
 
     violations = []
-    tree_type(graph_to_tree(graph), grammar, violations)
+    tree_type(graph_to_tree(graph, strict=False), grammar, violations)
     return violations
 
 

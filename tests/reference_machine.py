@@ -2,9 +2,14 @@
 reference the table-driven ``Machine.legal_actions`` and
 ``Machine.is_legal`` must equal: the same menus, in the same order, and
 the same verdict on every action.  Each phase's menu is written out in
-``legal_actions`` and derived again, action by action, in ``is_legal``."""
+``legal_actions`` and derived again, action by action, in ``is_legal``.
+
+WORDGEN offers ``LEMMA`` or ``TOKEN`` only over a front whose stem reads
+back: the atoms that ``SUFFIX`` would build on it, with a tag or bare,
+come back from the s-expression reader as themselves."""
 
 from ulfparse import machine as tm
+from ulfparse.core import OPERATOR, SUFFIXED, Atom, UlfSyntaxError, parse_sexpr
 
 
 def _vocab_set(vocab):
@@ -15,6 +20,29 @@ def _menu(fmt, vocab):
     if vocab is None:
         return [fmt % "*"]
     return sorted(fmt % v for v in vocab)
+
+
+def _stems(c):
+    """The front words' (token, lemma) stems: lowercased and joined by _."""
+    words = [c.sentence.token(c.cursor + k) for k in range(c.merged)]
+    return ("_".join(w.surface.lower() for w in words),
+            "_".join(w.lemma.lower() for w in words))
+
+
+def _reads_back(stem):
+    for atom in (Atom(stem, SUFFIXED, "n"), Atom(stem, OPERATOR)):
+        try:
+            if parse_sexpr(atom.render()) != atom:
+                return False
+        except UlfSyntaxError:
+            return False
+    return True
+
+
+def _wordgen_menu(c):
+    token, lemma = _stems(c)
+    return (["NAME"] + (["LEMMA"] if _reads_back(lemma) else [])
+            + (["TOKEN"] if _reads_back(token) else []))
 
 
 class ReferenceLegality:
@@ -51,7 +79,7 @@ class ReferenceLegality:
                 out += ["SKIP", "WORDGEN"]
             return out
         if phase == tm.WORDGEN:
-            return ["NAME", "LEMMA", "TOKEN"]
+            return _wordgen_menu(c)
         if phase in (tm.NAMEGEN, tm.LEMMAGEN, tm.TOKENGEN):
             return list(menus["SUFFIX"])
         if phase == tm.PUSH:
@@ -103,7 +131,9 @@ class ReferenceLegality:
                 return c.cursor + c.merged <= len(c.sentence)
             return action in ("SKIP", "WORDGEN") and not c.buffer_empty
         if phase == tm.WORDGEN:
-            return action in ("NAME", "LEMMA", "TOKEN")
+            token, lemma = _stems(c)
+            return action == "NAME" or (action == "LEMMA" and _reads_back(lemma)) \
+                or (action == "TOKEN" and _reads_back(token))
         if phase in (tm.NAMEGEN, tm.LEMMAGEN, tm.TOKENGEN):
             return kind == "SUFFIX" and bool(colon) and self._param_ok(kind, arg)
         if phase == tm.PUSH:

@@ -142,7 +142,7 @@ def test_align_invariants(words, ulf):
         adj[src].add(dst)
         adj[dst].add(src)
     for widx in {w for w, _ in amap.token_pairs}:
-        vs = set(amap.vertices_of(widx))
+        vs = {v for w, v in amap.token_pairs if w == widx}
         seen, todo = set(), [next(iter(vs))]
         while todo:
             v = todo.pop()

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import re
@@ -240,6 +241,31 @@ def test_oracle_summary_rounds_failures_down(tmp_path, mini_file, capsys):
     assert code == 1
     assert summary.startswith("round-trip ")
     assert summary != "round-trip 100%"
+
+
+def test_oracle_and_decode_caps_differ(tmp_path, capsys):
+    # oracle, train and stats bound gold sequences by the oracle's cap, so a
+    # record of 898 gold actions extracts; parse decodes at 800 by default
+    words = ["w%d" % i for i in range(90)]
+    row = {"id": "long", "tokens": words, "lemmas": words, "pos": ["NN"] * 90,
+           "ulf": "(and.cc %s)" % " ".join(w + ".n" for w in words[1:])}
+    corpus = tmp_path / "long.jsonl"
+    corpus.write_text(json.dumps(row) + "\n")
+    assert run(["oracle", str(corpus), "-o", str(tmp_path / "actions.txt")]) == 0
+    assert "max=898" in capsys.readouterr().out
+    parser = cli.build_parser()
+    for command in ("oracle", "train", "stats", "parse"):
+        argv = [command, str(corpus)] + (["model.json"] if command == "train" else [])
+        want = 800 if command == "parse" else tm.DEFAULT_STEP_CAP
+        assert parser.parse_args(argv).cap == want, command
+
+
+def test_parse_with_the_perceptron_scorer_needs_a_model(tmp_path, tiny_file, capsys):
+    code = run(["parse", tiny_file, "--train-corpus", tiny_file,
+                "-o", str(tmp_path / "parsed.txt")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == ["error: the perceptron scorer needs --model"]
 
 
 # SHA-256 of the mini-corpus model (train --epochs 3 --seed 7), of its
@@ -696,6 +722,8 @@ def test_parse_with_generated_models_ends_cleanly(fuzz_model, tmp_path_factory,
     obj, corpus = fuzz_model
     obj = json.loads(json.dumps(obj))
     for op, key, pos, value, weight_key in edits:
+        # a fresh copy: one list or dict put in two places could nest in itself
+        value = copy.deepcopy(value)
         if op == "field":
             obj[key] = value
         elif op == "drop":

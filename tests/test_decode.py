@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ulfparse import decode as dec
 from ulfparse import machine as tm
 from ulfparse.cli import load_mini_corpus
-from ulfparse.core import Sentence, graphs_equal
+from ulfparse.core import Sentence, graph_to_tree, graphs_equal, parse_sexpr, render_sexpr
 from ulfparse.oracle import extract_with_alignment
 from ulfparse.typesys import Lexicon, TypeGrammar, check_arc, lexicon_filter, type_of
 
@@ -414,6 +414,20 @@ def test_random_scorer_deterministic():
     assert r1.actions == r2.actions
     r3 = dec.beam_decode(s, dec.RandomScorer(8), m, beam_size=2, cap=50)
     assert r1.actions != r3.actions or r1.score != r3.score
+
+
+def test_decoded_symbols_read_back():
+    # a sentence of brackets and a comment sign: random decodes write only
+    # fragments that the reader gives back as the same tree (the machine
+    # offers no LEMMA or TOKEN over "(" or ";")
+    s = Sentence.make(["(", "dog", ";"])
+    m = tm.Machine(suffixes=["n", "p"], arc_labels=[":ARG0"], symgen_vocab=["pres"],
+                   promote_syms=["pres"])
+    for seed in range(40):
+        result = dec.beam_decode(s, dec.RandomScorer(seed), m, beam_size=1)
+        for frag in result.fragments:
+            tree = graph_to_tree(frag, strict=False)
+            assert parse_sexpr(render_sexpr(tree)) == tree, seed
 
 
 ECHO_SCORER = r"""

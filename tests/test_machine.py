@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ulfparse import machine as tm
-from ulfparse.core import Sentence, UlfSyntaxError, parse_atom
+from ulfparse.core import (
+    Sentence,
+    UlfSyntaxError,
+    graph_to_tree,
+    parse_atom,
+    parse_sexpr,
+    render_sexpr,
+)
 
 from goldens import I_RUN_ACTIONS
 from reference_machine import ReferenceLegality
@@ -102,6 +109,57 @@ def test_mergebuf_name_and_token():
     for a in ["MERGEBUF", "WORDGEN", "TOKEN", "SUFFIX:aux-s"]:
         c = m.apply(c, a)
     assert c.verts[0].symbol.render() == "had_better.aux-s"
+
+
+@pytest.mark.parametrize("surface, lemma, offer", [
+    ("dog", "dog", ["NAME", "LEMMA", "TOKEN"]),
+    ("a;b", "a;b", ["NAME", "LEMMA", "TOKEN"]),
+    ("dog", ")", ["NAME", "TOKEN"]),
+    ("(", "dog", ["NAME", "LEMMA"]),
+    ("(", "(", ["NAME"]),
+    (";x", ";x", ["NAME"]),
+    ("U.S", "u.s", ["NAME"]),
+])
+def test_wordgen_offers_stems_that_read_back(surface, lemma, offer):
+    # LEMMA and TOKEN are offered only over a stem the reader gives back
+    # as one atom token without a dot; NAME puts any word between pipes
+    m = tm.Machine()
+    c = m.apply(m.init(sent(surface, lemmas=[lemma])), "WORDGEN")
+    assert m.legal_actions(c) == offer
+    for a in ("LEMMA", "TOKEN"):
+        assert m.is_legal(c, a) == (a in offer)
+        if a not in offer:
+            with pytest.raises(tm.IllegalAction):
+                m.apply(c, a)
+
+
+def test_front_stems():
+    s = sent("New", "York", "(", lemmas=["new", "york", "paren"])
+    assert tm.front_stems(s, 1, 2) == ("New York", "new_york", "new_york")
+    assert tm.front_stems(s, 2, 2) == ("York (", "york_(", "york_paren")
+    assert tm.front_stems(s, 3, 1) == ("(", "(", "paren")
+
+
+# words that mix letters with parentheses, comments and dots
+_odd_words = st.text("aB();.", min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_odd_words, _odd_words), min_size=1, max_size=5),
+       st.lists(st.integers(0, 1 << 30), min_size=20, max_size=150))
+def test_fragments_read_back(words, picks):
+    # on legal walks over such words, every fragment renders to text that
+    # the reader gives back as the same tree of atoms
+    m = WALK_MACHINE
+    c = m.init(sent(*[w for w, _ in words], lemmas=[lem for _, lem in words]))
+    for pick in picks:
+        legal = m.legal_actions(c)
+        if not legal or c.steps > 150:
+            break
+        c = m.apply(c, legal[pick % len(legal)])
+    for frag in m.extract_result(c):
+        tree = graph_to_tree(frag, strict=False)
+        assert parse_sexpr(render_sexpr(tree)) == tree
 
 
 def test_promote_pair():
@@ -361,6 +419,15 @@ def test_random_walk_preserves_invariants(choices):
 
 # -- the legality table against the rules as first written ---------------------
 
+# (surface, lemma) words of the walks: plain ones, and ones whose token or
+# lemma stem does not read back, so WORDGEN leaves out TOKEN, LEMMA or both
+WALK_WORDS = (("New", "new"), ("York", "york"), ("is", "be"), ("big", "big"),
+              (".", "."), ("(", "("), ("dog", ")"), (";x", "x"), ("a;b", "a;b"),
+              ("U.S", "us"), ("(dog", "dog"))
+walk_sentences = st.lists(st.sampled_from(WALK_WORDS), min_size=1, max_size=5).map(
+    lambda words: sent(*[s for s, _ in words], lemmas=[lem for _, lem in words]))
+
+
 # closed vocabularies (labels with a leading colon, an empty suffix), open
 # ones, and closed but empty ones, in which no parameterized action is legal
 LEGALITY_MACHINES = (WALK_MACHINE, OPEN_MACHINE,
@@ -375,11 +442,11 @@ LEGALITY_POOL = WALK_POOL + ["SYMGEN:*", "SUFFIX:*", "PROMOTE_SYM:*",
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(LEGALITY_MACHINES), st.integers(1, 5),
+@given(st.sampled_from(LEGALITY_MACHINES), walk_sentences,
        st.lists(st.integers(0, 1 << 30), min_size=30, max_size=150))
-def test_legality_table_equals_reference(m, n_words, picks):
+def test_legality_table_equals_reference(m, sentence, picks):
     ref = ReferenceLegality(m)
-    c = m.init(sent(*["New", "York", "is", "big", "."][:n_words]))
+    c = m.init(sentence)
     for pick in picks:
         menu = m.legal_actions(c)
         assert menu == [a for a in ref.legal_actions(c) if _applicable_param(a)], c.phase
@@ -417,13 +484,13 @@ def _applies(m, c, action):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(APPLY_MACHINES), st.integers(1, 5),
+@given(st.sampled_from(APPLY_MACHINES), walk_sentences,
        st.lists(st.integers(0, 1 << 30), min_size=30, max_size=120))
-def test_legal_exactly_when_apply_succeeds(m, n_words, picks):
+def test_legal_exactly_when_apply_succeeds(m, sentence, picks):
     # on random walks, for concrete and malformed actions alike, open and
     # closed vocabularies: is_legal(c, a) holds exactly when apply(c, a)
     # does not raise, and every concrete action legal_actions offers applies
-    c = m.init(sent(*["New", "York", "is", "big", "."][:n_words]))
+    c = m.init(sentence)
     for pick in picks:
         menu = m.legal_actions(c)
         for a in APPLY_POOL + [a for a in menu if not a.endswith(":*")]:

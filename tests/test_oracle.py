@@ -275,6 +275,17 @@ def test_step_cap_fails_loudly():
     assert exc.value.config.steps == 10
 
 
+def test_default_cap_admits_sequences_longer_than_the_decode_cap():
+    # a flat conjunction of 89 nouns takes 898 gold actions: more than a
+    # decode may take, and within the oracle's own default cap
+    words = ["w%d" % i for i in range(90)]
+    gold = tree_to_graph(parse_sexpr(
+        "(and.cc %s)" % " ".join(w + ".n" for w in words[1:])))
+    actions, _ = extract_with_alignment(Sentence.make(words), gold)
+    assert tm.DEFAULT_DECODE_CAP == 800 < len(actions) <= tm.DEFAULT_STEP_CAP
+    assert tm.Machine().step_cap == tm.DEFAULT_DECODE_CAP
+
+
 def test_illegal_rule_action_fails_loudly(monkeypatch):
     s = Sentence.make(["hello"], ["hello"], ["UH"])
     gold = tree_to_graph(parse_sexpr("hello.x"))

@@ -1,6 +1,13 @@
 import pytest
 
-from ulfparse.core import Token, parse_atom, parse_sexpr, tree_to_graph
+from ulfparse.core import (
+    Token,
+    UlfGraph,
+    Vertex,
+    parse_atom,
+    parse_sexpr,
+    tree_to_graph,
+)
 from ulfparse.typesys import (
     ANY,
     Atomic,
@@ -78,6 +85,20 @@ def test_mc002_composes_bottom_up():
 def test_check_graph_flags_bad_composition():
     g = tree_to_graph(parse_sexpr("(i.pro it.pro)"))  # D applied to D
     assert check_graph(g, G)
+
+
+def test_check_graph_reads_decoder_fragments():
+    # a decoder fragment whose :ARGk labels skip :ARG0 fails the strict
+    # reading; check_graph types it as it stands and returns its violations
+    atoms = [parse_atom(a) for a in ("i.pro", "it.pro", "run.v")]
+    frag = UlfGraph([Vertex(a, None) for a in atoms],
+                    [(0, 1, ":ARG1"), (0, 2, ":ARG2")])
+    with pytest.raises(ValueError, match="not consecutive"):
+        frag.validate()
+    assert check_graph(frag, G) == [(1,)]  # D applied to D
+    ok = UlfGraph([Vertex(parse_atom("run.v"), None), Vertex(atoms[0], None)],
+                  [(0, 1, ":ARG1")])
+    assert check_graph(ok, G) == []
 
 
 def test_render_parse_roundtrip():
