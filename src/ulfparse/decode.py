@@ -38,6 +38,7 @@ from . import machine as tm
 from .typesys import check_arc, lexicon_filter, type_of
 
 EXTERNAL_TIMEOUT = 5.0
+MODEL_FORMAT = "ulfparse-perceptron-v2"
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +362,10 @@ class PerceptronModel:
 
     Weights are stored one row per bucket, {bucket: {action idx: w}}, so
     one walk over a configuration's buckets scores every legal action.
-    vocab carries the decode-time machine vocabularies (arc labels,
-    suffixes, symbol and promote inventories) harvested from training,
-    so a saved model parses corpora without gold annotations.
+    vocab carries the decode-time machine vocabularies (suffixes, symbol
+    and promote inventories) harvested from training, and
+    max_wordless_run the longest word-less run of the training
+    sequences, so a saved model parses corpora without gold annotations.
 
     Every weight is finite and below WEIGHT_BOUND in magnitude, so every
     score is finite.  Weights enter from outside only through from_json,
@@ -380,6 +382,7 @@ class PerceptronModel:
     updates: int = 0
     averaged: bool = False
     vocab: dict = field(default_factory=dict)
+    max_wordless_run: int = 0
 
     def __post_init__(self):
         self.action_ids = {a: i for i, a in enumerate(self.actions)}
@@ -468,10 +471,10 @@ class PerceptronModel:
         sorts by "bucket," first, since that part holds the key's only
         comma, and then by the action index as a string."""
         head = json.dumps({
-            "format": "ulfparse-perceptron-v1",
+            "format": MODEL_FORMAT,
             "dim": self.dim, "salt": self.salt, "averaged": self.averaged,
             "actions": self.actions,
-            "vocab": self.vocab,
+            "vocab": self.vocab, "max_wordless_run": self.max_wordless_run,
         }, sort_keys=True)
         weights = self.weights
         rows = []
@@ -491,7 +494,7 @@ class PerceptronModel:
         number strictly inside +-WEIGHT_BOUND: NaN, an infinity or a
         weight no training run writes."""
         obj = json.loads(text)
-        if not isinstance(obj, dict) or obj.get("format") != "ulfparse-perceptron-v1":
+        if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
             raise ValueError("unrecognized model format")
         actions = _model_field(obj, "actions", list)
         if not _strings(actions) or len(set(actions)) < len(actions):
@@ -499,12 +502,15 @@ class PerceptronModel:
         dim = _model_field(obj, "dim", int)
         if dim < 1:
             raise ValueError("model field 'dim' must be positive")
+        max_run = _model_field(obj, "max_wordless_run", int)
+        if max_run < 0:
+            raise ValueError("model field 'max_wordless_run' must not be negative")
         vocab = _model_field(obj, "vocab", dict, {})
         for key, words in vocab.items():
             if not isinstance(words, list) or not _strings(words):
                 raise ValueError("model field 'vocab' entry %r must list strings" % key)
         model = cls(actions=actions, dim=dim, salt=_model_field(obj, "salt", int),
-                    vocab=vocab)
+                    vocab=vocab, max_wordless_run=max_run)
         model.averaged = _model_field(obj, "averaged", bool, False)
         rows, n = model.weights, len(actions)
         for key, v in _model_field(obj, "weights", dict).items():
@@ -527,10 +533,10 @@ class PerceptronModel:
         if not self.vocab:
             raise ValueError("model carries no machine vocabularies")
         return tm.Machine(
-            arc_labels=self.vocab.get("arc_labels", []),
             suffixes=self.vocab.get("suffixes", []),
             symgen_vocab=self.vocab.get("symgen", []),
-            promote_syms=self.vocab.get("promote", []))
+            promote_syms=self.vocab.get("promote", []),
+            max_wordless_run=self.max_wordless_run)
 
 
 class WeightView:
@@ -612,24 +618,21 @@ def _strings(values):
 
 def machine_from_actions(action_seqs) -> tm.Machine:
     """Build a decode-time machine whose vocabularies cover the training
-    action sequences."""
-    arc_labels, suffixes, symgen, promote = set(), set(), set(), set()
+    action sequences, with their longest word-less run as its bound."""
+    suffixes, symgen, promote = set(), set(), set()
     for seq in action_seqs:
         for a in seq:
             kind = tm.action_kind(a)
-            if kind == "ARC":
-                arc_labels.add(tm.parse_arc_action(a)[2])
-            elif kind == "PROMOTE_ARC":
-                arc_labels.add(a.split(":", 1)[1])
-            elif kind == "SUFFIX":
+            if kind == "SUFFIX":
                 suffixes.add(a.split(":", 1)[1])
             elif kind == "SYMGEN":
                 symgen.add(a.split(":", 1)[1])
             elif kind == "PROMOTE_SYM":
                 promote.add(a.split(":", 1)[1])
     return tm.Machine(
-        arc_labels=sorted(arc_labels), suffixes=sorted(suffixes),
-        symgen_vocab=sorted(symgen), promote_syms=sorted(promote))
+        suffixes=sorted(suffixes), symgen_vocab=sorted(symgen),
+        promote_syms=sorted(promote),
+        max_wordless_run=tm.longest_wordless_run(action_seqs))
 
 
 def train_perceptron(items, epochs=5, seed=0, machine=None, dim=1 << 18):
@@ -650,11 +653,10 @@ def train_perceptron(items, epochs=5, seed=0, machine=None, dim=1 << 18):
         machine = machine_from_actions(seqs)
     actions = sorted({a for seq in seqs for a in seq}, key=tm.action_sort_key)
     model = PerceptronModel(actions=list(actions), salt=seed, dim=dim, vocab={
-        "arc_labels": machine.arc_labels or [],
         "suffixes": machine.suffixes or [],
         "symgen": machine.symgen_vocab or [],
         "promote": machine.promote_syms or [],
-    })
+    }, max_wordless_run=tm.longest_wordless_run(seqs))
     menus, table = step_table(model, machine, items)
     rng = np.random.default_rng(seed)
     order = list(range(len(items)))
@@ -954,29 +956,21 @@ def _vertex_types(item, grammar):
 
 _SUFFIX_PHASES = (tm.NAMEGEN, tm.LEMMAGEN, tm.TOKENGEN)
 _ARC_PHASES = (tm.ARC, tm.PROMOTEARC)  # the only phases offering arc actions
-_LEFT_ARC = tm.arc_action(0, "left", "")    # prefixes of the ARC menus
-_RIGHT_ARC = tm.arc_action(0, "right", "")
 
 
-def _type_filtered(c, types, action, verdicts):
+def _type_filtered(c, types, action):
     """Type-composition veto for arc actions; returns the types after
-    action, or None when the arc is vetoed.  The veto depends on the
-    arc's direction, not its label, so verdicts, {(head, dep): types
-    after}, keeps each one given in c.  The machine's menus spell the
-    direction in the action's prefix."""
-    if action.startswith(_LEFT_ARC):
-        ends = c.cache[::-1]
-    elif action.startswith(_RIGHT_ARC):
-        ends = c.cache
-    elif action.startswith("PROMOTE_ARC:"):
-        ends = (c.promoted, c.cache[1])
+    action, or None when the arc is vetoed."""
+    if action == tm.LEFT_ARC:
+        head, dep = c.cache[1], c.cache[0]
+    elif action == tm.RIGHT_ARC:
+        head, dep = c.cache
+    elif action == tm.PROMOTE_ARC:
+        head, dep = c.promoted, c.cache[1]
     else:
         return types
-    if ends not in verdicts:
-        head, dep = ends
-        ok, new_type = check_arc(types[head], types[dep])
-        verdicts[ends] = types[:head] + (new_type,) + types[head + 1:] if ok else None
-    return verdicts[ends]
+    ok, new_type = check_arc(types[head], types[dep])
+    return types[:head] + (new_type,) + types[head + 1:] if ok else None
 
 
 def _menu(machine, c, lexicon, memo):
@@ -1097,11 +1091,10 @@ def beam_decode(sentence, scorer, machine, beam_size=3, lexicon=None,
                     scores = normalized[raw] = _log_softmax(raw)
             types = _vertex_types(item, grammar) if grammar is not None else item.types
             vetoing = grammar is not None and c.phase in _ARC_PHASES
-            verdicts = {}
             for ai, (action, step_score) in enumerate(zip(legal, scores)):
                 new_types = types
                 if vetoing:
-                    new_types = _type_filtered(c, types, action, verdicts)
+                    new_types = _type_filtered(c, types, action)
                     if new_types is None:
                         continue  # vetoed: not added to the search beam
                 score = item.score + step_score

@@ -9,8 +9,8 @@ menu of actions, and actions move between phases:
     {NAMEGEN,LEMMAGEN,TOKENGEN} --SUFFIX:e--> PUSH
     GEN --SYMGEN:s--> PUSH          GEN --SKIP / MERGEBUF--> GEN
     PUSH --PUSHIDX:i--> ARC
-    ARC --ARC:0:d:l / NOARC--> PROMOTE
-    PROMOTE --PROMOTE_SYM:s--> PROMOTEARC --PROMOTE_ARC:l--> ARC
+    ARC --ARC:0:d / NOARC--> PROMOTE
+    PROMOTE --PROMOTE_SYM:s--> PROMOTEARC --PROMOTE_ARC--> ARC
     PROMOTE --NOPROMOTE--> POP
     POP --POP--> ARC                POP --NOPOP--> GEN
 
@@ -19,24 +19,31 @@ buffer exhausted and the stack empty.  Graph vertices live in exactly one
 of: the cache, the stack, the pending slot (generated but not yet
 pushed), or retired (present only in the partial graph).
 
+Arc labels are positional, as tree_to_graph gives them: an arc takes its
+head's next label, so a COMPLEX head's children are :INSTANCE, :ARG0,
+:ARG1, ... in the order they attach, and any other head's are :ARG0,
+:ARG1, ....  A machine may bound word-less runs: the vertices that SYMGEN
+and PROMOTE_SYM make since the last SUFFIX or SKIP.
+
 Action wire format, one action per line (bit-exact):
 
     WORDGEN | NAME | LEMMA | TOKEN | SUFFIX:<ext> | SYMGEN:<atom> |
-    SKIP | MERGEBUF | PUSHIDX:<0|1> | ARC:0:<left|right>:<label> |
-    NOARC | PROMOTE_SYM:<atom> | PROMOTE_ARC:<label> | NOPROMOTE |
-    POP | NOPOP
+    SKIP | MERGEBUF | PUSHIDX:<0|1> | ARC:0:<left|right> | NOARC |
+    PROMOTE_SYM:<atom> | PROMOTE_ARC | NOPROMOTE | POP | NOPOP
 
-where <label> carries its leading colon, e.g. ``ARC:0:left::ARG0`` and
-``PROMOTE_ARC::ARG0``; ``SUFFIX:`` with an empty extension generates a
-bare operator from the word.
+where ``SUFFIX:`` with an empty extension generates a bare operator from
+the word.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
+    COMPLEX_LABEL,
+    INSTANCE_EDGE,
     Atom,
     NAME,
     OPERATOR,
@@ -93,16 +100,20 @@ def action_sort_key(action: str):
     return (_KIND_RANK.get(kind, len(_KIND_ORDER)), action)
 
 
-def parse_arc_action(action: str):
-    """ARC:<i>:<dir>:<label> -> (i, dir, label)."""
-    parts = action.split(":", 3)
-    if len(parts) != 4 or parts[0] != "ARC":
-        raise IllegalAction("malformed arc action %r" % action)
-    return int(parts[1]), parts[2], parts[3]
-
-
-def arc_action(i: int, direction: str, label: str) -> str:
-    return "ARC:%d:%s:%s" % (i, direction, label)
+def longest_wordless_run(action_seqs) -> int:
+    """The longest word-less run (Config.wordless_run) that replaying
+    the action sequences reaches."""
+    longest = 0
+    for seq in action_seqs:
+        run = 0
+        for a in seq:
+            kind = action_kind(a)
+            if kind in ("SYMGEN", "PROMOTE_SYM"):
+                run += 1
+                longest = max(longest, run)
+            elif kind in ("SUFFIX", "SKIP"):
+                run = 0
+    return longest
 
 
 def format_actions(actions) -> str:
@@ -161,6 +172,12 @@ _MERGE_SKIP_WORDGEN = ("MERGEBUF", "SKIP", "WORDGEN")
 _SKIP_WORDGEN = ("SKIP", "WORDGEN")
 _PUSHES = ("PUSHIDX:0", "PUSHIDX:1")
 _NOARC = ("NOARC",)
+LEFT_ARC = "ARC:0:left"     # the rightmost slot heads the leftmost
+RIGHT_ARC = "ARC:0:right"   # the leftmost slot heads the rightmost
+PROMOTE_ARC = "PROMOTE_ARC"
+# the ARC offers, indexed [left arc legal][right arc legal]
+_ARC_BARE = ((_NOARC, (RIGHT_ARC, "NOARC")),
+             ((LEFT_ARC, "NOARC"), (LEFT_ARC, RIGHT_ARC, "NOARC")))
 _NOPROMOTE = ("NOPROMOTE",)
 _POP_NOPOP = ("POP", "NOPOP")
 _NOPOP = ("NOPOP",)
@@ -192,6 +209,16 @@ def _reads_back(stem: str) -> bool:
     ";x", "a b" and "u.s" fail, and "a;b" passes."""
     return ("." not in stem and stem[:1] not in "()|"
             and _SEXPR_TOKEN.findall(stem) == [stem])
+
+
+def _child_label(head: Vertex, k: int) -> str:
+    """The label of head's child number k, counted from 0 in attachment
+    order."""
+    if head.symbol.render() == COMPLEX_LABEL:
+        if k == 0:
+            return INSTANCE_EDGE
+        k -= 1
+    return ":ARG%d" % k
 
 
 def _set_parent(parents, vid, parent):
@@ -227,6 +254,8 @@ class Config:
     phase: str = GEN
     pending: Optional[int] = None   # generated vertex awaiting PUSHIDX
     promoted: Optional[int] = None  # PROMOTE_SYM vertex awaiting PROMOTE_ARC
+    wordless_run: int = 0       # vertices SYMGEN and PROMOTE_SYM made since
+                                # the last SUFFIX or SKIP
     last_action: Optional[str] = None
     steps: int = 0
 
@@ -251,30 +280,30 @@ class Config:
 class Machine:
     """Applies actions to configurations.
 
-    Vocabularies bound here: arc labels, suffix extensions, the SYMGEN
-    symbol vocabulary (None = unrestricted), and the PROMOTE_SYM
-    vocabulary.
+    Vocabularies bound here (None = unrestricted): suffix extensions, the
+    SYMGEN symbol vocabulary and the PROMOTE_SYM vocabulary.  With
+    max_wordless_run set, SYMGEN and PROMOTE_SYM are offered only while
+    the word-less run is shorter.  All are fixed at construction.
     """
 
-    def __init__(self, arc_labels=None, suffixes=None, symgen_vocab=None,
-                 promote_syms=None, step_cap=DEFAULT_DECODE_CAP):
-        self.arc_labels = list(arc_labels) if arc_labels is not None else None
+    def __init__(self, suffixes=None, symgen_vocab=None, promote_syms=None,
+                 max_wordless_run=None, step_cap=DEFAULT_DECODE_CAP):
         self.suffixes = list(suffixes) if suffixes is not None else None
         self.symgen_vocab = list(symgen_vocab) if symgen_vocab is not None else None
         self.promote_syms = list(promote_syms) if promote_syms is not None else None
+        self.max_wordless_run = max_wordless_run
         self.step_cap = step_cap
-        # the per-kind menu records; the vocabularies are fixed from here on
+        self._run_bound = math.inf if max_wordless_run is None else max_wordless_run
+        # the per-kind menu records
         self._symgen = (_menu("SYMGEN:", self.symgen_vocab, _spells_atom),)
         self._promote_sym = (_menu("PROMOTE_SYM:", self.promote_syms, _spells_atom),)
-        self._left = _menu(arc_action(0, "left", ""), self.arc_labels)
-        self._right = _menu(arc_action(0, "right", ""), self.arc_labels)
         # (menus, bare actions) of the phases whose offer is constant
         suffix = ((_menu("SUFFIX:", self.suffixes),), ())
         self._fixed = {
             NAMEGEN: suffix,
             LEMMAGEN: suffix,
             TOKENGEN: suffix,
-            PROMOTEARC: ((_menu("PROMOTE_ARC:", self.arc_labels),), ()),
+            PROMOTEARC: ((), (PROMOTE_ARC,)),
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -308,13 +337,11 @@ class Machine:
             l, r = c.cache
             if l is None or r is None:
                 return (), _NOARC
-            menus = (self._left,) if self._arc_ok(c, r, l) else ()
-            if self._arc_ok(c, l, r):
-                menus += (self._right,)
-            return menus, _NOARC
+            return (), _ARC_BARE[self._arc_ok(c, r, l)][self._arc_ok(c, l, r)]
         if phase == PROMOTE:
             r = c.cache[1]
-            if r is not None and c.parents[r] is None:
+            if r is not None and c.parents[r] is None \
+                    and c.wordless_run < self._run_bound:
                 return self._promote_sym, _NOPROMOTE
             return (), _NOPROMOTE
         if phase == POP:
@@ -322,9 +349,10 @@ class Machine:
         if phase == PUSH:
             return (), (_PUSHES if c.pending is not None else ())
         if phase == GEN:
+            symgen = self._symgen if c.wordless_run < self._run_bound else ()
             if c.cursor + c.merged <= len(c.sentence):
-                return self._symgen, _MERGE_SKIP_WORDGEN
-            return self._symgen, (() if c.buffer_empty else _SKIP_WORDGEN)
+                return symgen, _MERGE_SKIP_WORDGEN
+            return symgen, (() if c.buffer_empty else _SKIP_WORDGEN)
         if phase == WORDGEN:
             _, token, lemma = front_stems(c.sentence, c.cursor, c.merged)
             return (), _WORDGEN_BARE[_reads_back(lemma)][_reads_back(token)]
@@ -385,15 +413,17 @@ class Machine:
             verts = c.verts + (Vertex(atom, c.cursor),)
             return _next(c, action, verts=verts, parents=c.parents + (None,),
                          pending=len(verts) - 1, cursor=c.cursor + c.merged,
-                         merged=1, phase=PUSH)
+                         merged=1, wordless_run=0, phase=PUSH)
 
         if kind == "SYMGEN":
             verts = c.verts + (Vertex(parse_atom(arg), None),)
             return _next(c, action, verts=verts, parents=c.parents + (None,),
-                         pending=len(verts) - 1, phase=PUSH)
+                         pending=len(verts) - 1, wordless_run=c.wordless_run + 1,
+                         phase=PUSH)
 
         if kind == "SKIP":
-            return _next(c, action, cursor=c.cursor + 1, merged=1, phase=GEN)
+            return _next(c, action, cursor=c.cursor + 1, merged=1, wordless_run=0,
+                         phase=GEN)
 
         if kind == "MERGEBUF":
             return _next(c, action, merged=c.merged + 1, phase=GEN)
@@ -405,9 +435,10 @@ class Machine:
             return _next(c, action, stack=stack, cache=cache, pending=None, phase=ARC)
 
         if kind == "ARC":
-            _, direction, label = parse_arc_action(action)
             l, r = c.cache
-            src, dst = (r, l) if direction == "left" else (l, r)
+            src, dst = (r, l) if action == LEFT_ARC else (l, r)
+            k = sum(1 for e in c.edges if e[0] == src)
+            label = _child_label(c.verts[src], k)
             return _next(c, action, edges=c.edges + ((src, dst, label),),
                          parents=_set_parent(c.parents, dst, src), phase=PROMOTE)
 
@@ -417,11 +448,13 @@ class Machine:
         if kind == "PROMOTE_SYM":
             verts = c.verts + (Vertex(parse_atom(arg), None),)
             return _next(c, action, verts=verts, parents=c.parents + (None,),
-                         promoted=len(verts) - 1, phase=PROMOTEARC)
+                         promoted=len(verts) - 1, wordless_run=c.wordless_run + 1,
+                         phase=PROMOTEARC)
 
         if kind == "PROMOTE_ARC":
+            # the promoted vertex is new, so this is its first child
             r = c.cache[1]
-            edges = c.edges + ((c.promoted, r, arg),)
+            edges = c.edges + ((c.promoted, r, _child_label(c.verts[c.promoted], 0)),)
             cache = (c.cache[0], c.promoted)  # old rightmost retires
             return _next(c, action, edges=edges,
                          parents=_set_parent(c.parents, r, c.promoted),

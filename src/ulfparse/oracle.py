@@ -50,7 +50,6 @@ class GoldIndex:
     parent: list
     children: list          # list of (child vid, label) per vid, ordered
     subtree_size: list      # including self
-    edge_labels: dict       # (src, dst) -> label
     promoted: set = field(default_factory=set)
     trigger: dict = field(default_factory=dict)   # promoted vid -> child vid
     n_edges: int = 0
@@ -71,7 +70,6 @@ class GoldIndex:
             parent=parent,
             children=children,
             subtree_size=size,
-            edge_labels={(s, d): lab for s, d, lab in gold.edges},
             n_edges=len(gold.edges),
         )
         idx._designate(set(promote_syms))
@@ -159,9 +157,7 @@ class Oracle:
         elif phase == tm.PROMOTE:
             action = self._promote_action(c)
         elif phase == tm.PROMOTEARC:
-            g_par = self.hyp2gold[c.promoted]
-            g_child = self.hyp2gold[c.cache[1]]
-            action = "PROMOTE_ARC:%s" % self.idx.edge_labels[(g_par, g_child)]
+            action = tm.PROMOTE_ARC
         elif phase == tm.POP:
             action = self._pop_action(c)
         if action is None:
@@ -231,14 +227,11 @@ class Oracle:
         if l is None or r is None:
             return "NOARC"
         gl, gr = self.hyp2gold[l], self.hyp2gold[r]
-        labels = self.idx.edge_labels
-        built = set(c.edges)
-        if (gl, gr) in labels and (l, r, labels[(gl, gr)]) not in built:
-            if self.fully_formed(c, r):
-                return tm.arc_action(0, "right", labels[(gl, gr)])
-        if (gr, gl) in labels and (r, l, labels[(gr, gl)]) not in built:
-            if self.fully_formed(c, l):
-                return tm.arc_action(0, "left", labels[(gr, gl)])
+        gold_parent, parents = self.idx.parent, c.parents
+        if gold_parent[gr] == gl and parents[r] != l and self.fully_formed(c, r):
+            return tm.RIGHT_ARC
+        if gold_parent[gl] == gr and parents[l] != r and self.fully_formed(c, l):
+            return tm.LEFT_ARC
         return "NOARC"
 
     def _promote_action(self, c):

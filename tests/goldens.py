@@ -37,7 +37,7 @@ MC002_ALIGNMENT = {(1, 0), (2, 3), (4, 5), (5, 7), (6, 8), (7, 11), (8, 13)}
 I_RUN_ACTIONS = [
     "WORDGEN", "TOKEN", "SUFFIX:pro", "PUSHIDX:0", "NOARC", "NOPROMOTE",
     "NOPOP", "WORDGEN", "TOKEN", "SUFFIX:v", "PUSHIDX:1", "NOARC",
-    "PROMOTE_SYM:pres", "PROMOTE_ARC::ARG0", "ARC:0:right::ARG0",
+    "PROMOTE_SYM:pres", "PROMOTE_ARC", "ARC:0:right",
     "NOPROMOTE", "POP", "NOARC", "NOPROMOTE", "POP", "NOARC", "NOPROMOTE",
     "NOPOP", "SKIP",
 ]

@@ -6,7 +6,10 @@ the same verdict on every action.  Each phase's menu is written out in
 
 WORDGEN offers ``LEMMA`` or ``TOKEN`` only over a front whose stem reads
 back: the atoms that ``SUFFIX`` would build on it, with a tag or bare,
-come back from the s-expression reader as themselves."""
+come back from the s-expression reader as themselves.  Arc actions carry
+no label, and a machine with ``max_wordless_run`` set offers ``SYMGEN``
+and ``PROMOTE_SYM`` only while the configuration's word-less run is
+shorter."""
 
 from ulfparse import machine as tm
 from ulfparse.core import OPERATOR, SUFFIXED, Atom, UlfSyntaxError, parse_sexpr
@@ -53,26 +56,22 @@ class ReferenceLegality:
             "SYMGEN": _vocab_set(machine.symgen_vocab),
             "SUFFIX": _vocab_set(machine.suffixes),
             "PROMOTE_SYM": _vocab_set(machine.promote_syms),
-            "PROMOTE_ARC": _vocab_set(machine.arc_labels),
-            "ARC": _vocab_set(machine.arc_labels),
         }
-        labels = machine.arc_labels if machine.arc_labels is not None else []
         self._menus = {
             "SYMGEN": _menu("SYMGEN:%s", machine.symgen_vocab),
             "SUFFIX": _menu("SUFFIX:%s", machine.suffixes),
             "PROMOTE_SYM": _menu("PROMOTE_SYM:%s", machine.promote_syms),
-            "PROMOTE_ARC": _menu("PROMOTE_ARC:%s", machine.arc_labels),
-            "left": sorted(tm.arc_action(0, "left", lab) for lab in labels)
-                    + (["ARC:0:left:*"] if machine.arc_labels is None else []),
-            "right": sorted(tm.arc_action(0, "right", lab) for lab in labels)
-                     + (["ARC:0:right:*"] if machine.arc_labels is None else []),
         }
+        self._max_run = machine.max_wordless_run
+
+    def _wordless_ok(self, c):
+        return self._max_run is None or c.wordless_run < self._max_run
 
     def legal_actions(self, c):
         menus = self._menus
         phase = c.phase
         if phase == tm.GEN:
-            out = list(menus["SYMGEN"])
+            out = list(menus["SYMGEN"]) if self._wordless_ok(c) else []
             if c.cursor + c.merged <= len(c.sentence):
                 out.append("MERGEBUF")
             if not c.buffer_empty:
@@ -89,19 +88,20 @@ class ReferenceLegality:
             l, r = c.cache
             if l is not None and r is not None:
                 if self._arc_ok(c, r, l):
-                    out += menus["left"]
+                    out.append("ARC:0:left")
                 if self._arc_ok(c, l, r):
-                    out += menus["right"]
+                    out.append("ARC:0:right")
             out.append("NOARC")
             return out
         if phase == tm.PROMOTE:
             r = c.cache[1]
             out = list(menus["PROMOTE_SYM"]) \
-                if r is not None and c.parents[r] is None else []
+                if r is not None and c.parents[r] is None and self._wordless_ok(c) \
+                else []
             out.append("NOPROMOTE")
             return out
         if phase == tm.PROMOTEARC:
-            return list(menus["PROMOTE_ARC"])
+            return ["PROMOTE_ARC"]
         if phase == tm.POP:
             return ["POP", "NOPOP"] if c.stack else ["NOPOP"]
         return []
@@ -126,7 +126,8 @@ class ReferenceLegality:
         phase = c.phase
         if phase == tm.GEN:
             if kind == "SYMGEN":
-                return bool(colon) and self._param_ok(kind, arg)
+                return bool(colon) and self._param_ok(kind, arg) \
+                    and self._wordless_ok(c)
             if action == "MERGEBUF":
                 return c.cursor + c.merged <= len(c.sentence)
             return action in ("SKIP", "WORDGEN") and not c.buffer_empty
@@ -141,25 +142,21 @@ class ReferenceLegality:
         if phase == tm.ARC:
             if action == "NOARC":
                 return True
-            parts = action.split(":", 3)
-            if kind != "ARC" or len(parts) != 4 or parts[1] != "0" \
-                    or not self._param_ok(kind, parts[3]):
-                return False
             l, r = c.cache
             if l is None or r is None:
                 return False
-            if parts[2] == "left":
+            if action == "ARC:0:left":
                 return self._arc_ok(c, r, l)
-            return parts[2] == "right" and self._arc_ok(c, l, r)
+            return action == "ARC:0:right" and self._arc_ok(c, l, r)
         if phase == tm.PROMOTE:
             if action == "NOPROMOTE":
                 return True
             r = c.cache[1]
             return (kind == "PROMOTE_SYM" and bool(colon)
-                    and self._param_ok(kind, arg)
+                    and self._param_ok(kind, arg) and self._wordless_ok(c)
                     and r is not None and c.parents[r] is None)
         if phase == tm.PROMOTEARC:
-            return kind == "PROMOTE_ARC" and bool(colon) and self._param_ok(kind, arg)
+            return action == "PROMOTE_ARC"
         if phase == tm.POP:
             return action == "NOPOP" or (action == "POP" and bool(c.stack))
         return False

@@ -9,6 +9,17 @@ from ulfparse import decode as dec
 from ulfparse import machine as tm
 
 
+def _longest_run(items):
+    """The longest word-less run along the replays of the gold sequences."""
+    longest, machine = 0, tm.Machine()
+    for sentence, _, seq in items:
+        c = machine.init(sentence)
+        for action in seq:
+            c = machine.apply(c, action)
+            longest = max(longest, c.wordless_run)
+    return longest
+
+
 def reference_train(items, epochs=5, seed=0, machine=None, dim=1 << 18):
     seqs = [seq for _, _, seq in items]
     if sum(len(s) for s in seqs) == 0:
@@ -17,11 +28,10 @@ def reference_train(items, epochs=5, seed=0, machine=None, dim=1 << 18):
         machine = dec.machine_from_actions(seqs)
     actions = sorted({a for seq in seqs for a in seq}, key=tm.action_sort_key)
     model = dec.PerceptronModel(actions=list(actions), salt=seed, dim=dim, vocab={
-        "arc_labels": machine.arc_labels or [],
         "suffixes": machine.suffixes or [],
         "symgen": machine.symgen_vocab or [],
         "promote": machine.promote_syms or [],
-    })
+    }, max_wordless_run=_longest_run(items))
     rng = np.random.default_rng(seed)
     order = list(range(len(items)))
     step = 0

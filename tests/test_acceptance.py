@@ -16,17 +16,20 @@ from ulfparse.align import align
 from ulfparse.cli import load_mini_corpus, mini_corpus_path, split_round_robin
 from ulfparse.core import (
     Atom,
+    Sentence,
     emit_penman,
     graph_to_tree,
     graphs_equal,
     parse_penman,
     render_sexpr,
+    tree_atoms,
     tree_to_graph,
 )
 from ulfparse.metrics import TripleSet, best_mapping, el_smatch, sembleu
 from ulfparse.oracle import DEFAULT_PROMOTE_SYMBOLS, extract, extract_with_alignment
 from ulfparse.typesys import Lexicon, TypeGrammar, check_graph
 
+from test_machine import labels_positional
 from test_metrics import _random_graph, brute_force_best
 
 
@@ -136,7 +139,8 @@ def test_criterion_4_metric_identity_and_exact_matching(mini):
           "hill-climb = brute force on %d/100 random pairs" % agree)
 
 
-def test_criterion_5_thousand_random_roundtrips():
+def _criterion_5_trees():
+    """The 1,000 random trees of criterion 5, in order."""
     rng = np.random.default_rng(7)
     stems = ["run", "dog", "see", "new", "tom", "pres", "k", "in", "big"]
     tags = ["v", "n", "a", "pro", "d", ""]
@@ -148,17 +152,63 @@ def test_criterion_5_thousand_random_roundtrips():
             return Atom(stem, "suffixed", tag) if tag else Atom(stem, "operator")
         return [rand_tree(depth - 1) for _ in range(int(rng.integers(2, 5)))]
 
-    count = 0
     for _ in range(1000):
         tree = rand_tree(int(rng.integers(1, 7)))
         if isinstance(tree, Atom):
             tree = [tree, rand_tree(0)]
+        yield tree
+
+
+def test_criterion_5_thousand_random_roundtrips():
+    count = 0
+    for tree in _criterion_5_trees():
         g = tree_to_graph(tree)
         assert render_sexpr(graph_to_tree(g)) == render_sexpr(tree)
         assert graphs_equal(parse_penman(emit_penman(g)), g)
         count += 1
     print("\nACCEPTANCE 5 PASS: %d random trees survive tree->graph->tree "
           "and graph->penman->graph" % count)
+
+
+def test_gold_sequences_replay_on_the_trained_machine(oracle_items, trained_full):
+    # soundness of the label and run rules: the machine that training
+    # builds offers every action of every gold sequence, and its positional
+    # labels rebuild gold; on criterion 5's random graphs, whose sentences
+    # are their atoms' stems, a machine bounded at exactly a sequence's
+    # longest word-less run replays it to gold, and one bounded below does not
+    _, machine = trained_full
+    for rec, actions in oracle_items:
+        frags = machine.extract_result(machine.replay(rec.sentence, actions))
+        assert len(frags) == 1 and graphs_equal(frags[0], rec.gold_graph), rec.id
+    longest = []
+    for tree in _criterion_5_trees():
+        gold = tree_to_graph(tree)
+        sentence = Sentence.make([a.stem for a in tree_atoms(tree)])
+        # 14 trees of 214-383 vertices take more than 2,000 actions
+        actions, _ = extract_with_alignment(sentence, gold, step_cap=20000)
+        run = tm.longest_wordless_run([actions])
+        m = tm.Machine(max_wordless_run=run)
+        frags = m.extract_result(m.replay(sentence, actions))
+        assert len(frags) == 1 and graphs_equal(frags[0], gold)
+        if run:
+            with pytest.raises(tm.IllegalAction):
+                tm.Machine(max_wordless_run=run - 1).replay(sentence, actions)
+        longest.append(run)
+    assert max(longest) > 1
+    print("\nSOUNDNESS PASS: %d mini-corpus and 1000 random gold sequences replay; "
+          "longest word-less run %d" % (len(oracle_items), max(longest)))
+
+
+def test_mini_corpus_decodes_finish_with_positional_labels(mini, trained_full):
+    # completeness: beam 3 and typed beam 10 decodes of every mini-corpus
+    # sentence finish under the decode cap, and their fragments carry
+    # consecutive :ARGk labels
+    model, machine = trained_full
+    assert machine.step_cap == tm.DEFAULT_DECODE_CAP
+    for kw in (dict(beam_size=3), dict(beam_size=10, grammar=TypeGrammar.default())):
+        for rec, res in zip(mini, _decode_all(mini, model, machine, **kw)):
+            assert res.finished and len(res.actions) < machine.step_cap, rec.id
+            assert all(map(labels_positional, res.fragments)), rec.id
 
 
 def test_criterion_6_type_grammar_adequacy(mini):

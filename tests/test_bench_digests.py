@@ -13,8 +13,8 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                      "bench")
 
 ROUND_DIGESTS = {
-    "train": "84c0cb16e9df8346",
-    "parse": "b301c420cd8ab812",
+    "train": "981ae04bc2af84c7",
+    "parse": "806c1c330fb1f6d2",
     "eval": "86673b782e574185",
 }
 
@@ -38,7 +38,7 @@ def test_one_round_digest_is_unchanged(workloads, tmp_path, name):
 
 
 # digest of the models of train rounds 0-4 of seed 1, in order
-FIVE_TRAIN_ROUNDS_DIGEST = "38ffc010d7dae5f3"
+FIVE_TRAIN_ROUNDS_DIGEST = "33a981e97e23c152"
 
 
 def test_five_train_rounds_digest_is_unchanged(workloads, tmp_path):

@@ -126,9 +126,10 @@ def test_step_table_training_equals_reference(corpus_items, seed):
         ref, ref_machine = reference_train(subset, epochs=epochs, seed=seed)
         assert model.to_json() == ref.to_json()
         assert model.updates == ref.updates
-        assert (machine.arc_labels, machine.suffixes, machine.symgen_vocab,
-                machine.promote_syms) == (ref_machine.arc_labels, ref_machine.suffixes,
-                                          ref_machine.symgen_vocab, ref_machine.promote_syms)
+        assert (machine.suffixes, machine.symgen_vocab, machine.promote_syms,
+                machine.max_wordless_run) == (ref_machine.suffixes, ref_machine.symgen_vocab,
+                                              ref_machine.promote_syms,
+                                              ref_machine.max_wordless_run)
         rivals_added |= not set(model.actions) <= gold_actions
     # some update's rival is an action no gold sequence takes
     assert rivals_added
@@ -357,9 +358,10 @@ def test_model_json_roundtrip(trained):
 def _dumped_weight_dict(model):
     # the model file as first written: one dict of every weight, dumped
     return json.dumps({
-        "format": "ulfparse-perceptron-v1",
+        "format": "ulfparse-perceptron-v2",
         "dim": model.dim, "salt": model.salt, "averaged": model.averaged,
         "actions": model.actions, "vocab": model.vocab,
+        "max_wordless_run": model.max_wordless_run,
         "weights": {"%d,%d" % (b, ai): w for b, row in model.weights.items()
                     for ai, w in row.items()},
     }, sort_keys=True)
@@ -399,16 +401,14 @@ def test_scorer_reply_of_wrong_length_raises(change):
             return change(super().score(c, features, legal))
 
     s = Sentence.make(["a", "b"])
-    m = tm.Machine(arc_labels=[":ARG0"], suffixes=["n"], symgen_vocab=["k"],
-                   promote_syms=["pres"])
+    m = tm.Machine(suffixes=["n"], symgen_vocab=["k"], promote_syms=["pres"])
     with pytest.raises(ValueError, match="scorer gave [0-9]+ scores for [0-9]+ legal"):
         dec.beam_decode(s, Miscounting(7), m, beam_size=2, cap=50)
 
 
 def test_random_scorer_deterministic():
     s = Sentence.make(["a", "b"])
-    m = tm.Machine(arc_labels=[":ARG0"], suffixes=["n"], symgen_vocab=["k"],
-                   promote_syms=["pres"])
+    m = tm.Machine(suffixes=["n"], symgen_vocab=["k"], promote_syms=["pres"])
     r1 = dec.beam_decode(s, dec.RandomScorer(7), m, beam_size=2, cap=50)
     r2 = dec.beam_decode(s, dec.RandomScorer(7), m, beam_size=2, cap=50)
     assert r1.actions == r2.actions
@@ -421,8 +421,7 @@ def test_decoded_symbols_read_back():
     # fragments that the reader gives back as the same tree (the machine
     # offers no LEMMA or TOKEN over "(" or ";")
     s = Sentence.make(["(", "dog", ";"])
-    m = tm.Machine(suffixes=["n", "p"], arc_labels=[":ARG0"], symgen_vocab=["pres"],
-                   promote_syms=["pres"])
+    m = tm.Machine(suffixes=["n", "p"], symgen_vocab=["pres"], promote_syms=["pres"])
     for seed in range(40):
         result = dec.beam_decode(s, dec.RandomScorer(seed), m, beam_size=1)
         for frag in result.fragments:
@@ -515,7 +514,7 @@ with open(sys.argv[1], "wb") as log:
 # SHA-256 of the requests an external scorer receives in one beam decode of
 # the first mini-corpus sentence: it changes when a request byte does
 EXTERNAL_REQUESTS_SHA256 = \
-    "05f4b1d9c5658c650c22799b5e1a2780372ac0ac2cc7ca6d25db13b2db3329e6"
+    "9e61f50f63cc3e4330cf4478e591d7a636ecacaa4d514ccd7cffe361b2c92815"
 
 
 def test_external_scorer_request_bytes(trained, corpus_items, tmp_path):
@@ -624,22 +623,28 @@ def test_type_constraint_vetoes_bad_arcs(trained, corpus_items):
 
 def test_type_veto_checks_each_arc_direction_once(trained, corpus_items,
                                                    monkeypatch):
-    # the veto depends on the arc's ends, not its label: at most one
-    # check_arc per direction for each item expanded in an arc phase
+    # one check_arc per arc action that an item expanded in an arc phase
+    # offers: at most two in ARC, and one for PROMOTE_ARC, a forced move
+    # that is never scored
     model, machine = trained
-    calls, arc_phases = [], []
+    calls, arc_offers, arc_phases = [], [], []
     monkeypatch.setattr(dec, "check_arc",
                         lambda *args: calls.append(args) or check_arc(*args))
 
-    class PhaseCounting(dec.PerceptronScorer):
-        def score(self, c, features, legal):
+    def counted_menu(machine, c, lexicon, memo):
+        legal = menu(machine, c, lexicon, memo)
+        if c.phase in (tm.ARC, tm.PROMOTEARC):
             arc_phases.append(c.phase)
-            return super().score(c, features, legal)
+            arc_offers.extend(a for a in legal if a != "NOARC")
+        return legal
 
+    menu = dec._menu
+    monkeypatch.setattr(dec, "_menu", counted_menu)
     for rec, _ in corpus_items[:6]:
-        dec.beam_decode(rec.sentence, PhaseCounting(model), machine,
+        dec.beam_decode(rec.sentence, dec.PerceptronScorer(model), machine,
                         beam_size=10, grammar=TypeGrammar.default(), dep=rec.deps)
-    assert calls
+    assert calls and tm.PROMOTEARC in arc_phases
+    assert len(calls) == len(arc_offers)
     assert len(calls) <= 2 * arc_phases.count(tm.ARC) + arc_phases.count(tm.PROMOTEARC)
 
 
@@ -719,9 +724,8 @@ def _reference_type_filtered(item, action, grammar):
     while len(types) < len(c.verts):
         types = types + (type_of(c.verts[len(types)].symbol, grammar),)
     if kind == "ARC":
-        _, direction, _ = tm.parse_arc_action(action)
         l, r = c.cache
-        head, dep = (r, l) if direction == "left" else (l, r)
+        head, dep = (r, l) if action == "ARC:0:left" else (l, r)
     elif kind == "PROMOTE_ARC":
         head, dep = c.promoted, c.cache[1]
     else:
@@ -964,7 +968,7 @@ class _TieScorer:
 def test_early_stop_breaks_score_ties_by_rank():
     # SKIP SKIP finishes first; MERGEBUF SKIP SKIP finishes a step later
     # with the same score and a smaller rank, so the search must go on
-    m = tm.Machine(arc_labels=[], suffixes=[], symgen_vocab=[], promote_syms=[])
+    m = tm.Machine(suffixes=[], symgen_vocab=[], promote_syms=[])
     s = Sentence.make(["a", "b"])
     got = dec.beam_decode(s, _TieScorer(), m, beam_size=2)
     assert got.actions == ["MERGEBUF", "SKIP", "SKIP"] and got.finished

@@ -15,9 +15,9 @@ from ulfparse.core import Sentence
 # "&" joins conjunctions, "." separates a prefix's parts
 TEXT = st.text(alphabet="ab&=.Z", min_size=1, max_size=4)
 
-MACHINE = tm.Machine(arc_labels=[":ARG0", ":ARG1", ":a&b=c.d"],
-                     suffixes=["", "n", "v", "p&=.q"],
-                     symgen_vocab=["k", "that.pro", "{you}.pro"],
+# arc labels are positional; a COMPLEX head gives :INSTANCE ones too
+MACHINE = tm.Machine(suffixes=["", "n", "v", "p&=.q"],
+                     symgen_vocab=["k", "that.pro", "{you}.pro", "COMPLEX"],
                      promote_syms=["pres", "plur"], step_cap=120)
 
 

@@ -31,8 +31,7 @@ def test_init():
 
 
 def test_gen_menu():
-    m = tm.Machine(symgen_vocab=["that.pro"], suffixes=["n"],
-                   arc_labels=[":ARG0"], promote_syms=["pres"])
+    m = tm.Machine(symgen_vocab=["that.pro"], suffixes=["n"], promote_syms=["pres"])
     c = m.init(sent("a", "b"))
     kinds = {tm.action_kind(a) for a in m.legal_actions(c)}
     assert kinds == {"WORDGEN", "SYMGEN", "SKIP", "MERGEBUF"}
@@ -170,7 +169,7 @@ def test_promote_pair():
     assert c.phase == tm.PROMOTE
     c = m.apply(c, "PROMOTE_SYM:plur")
     assert c.phase == tm.PROMOTEARC
-    c = m.apply(c, "PROMOTE_ARC::ARG0")
+    c = m.apply(c, "PROMOTE_ARC")
     # plur -> shoe.n, plur replaces shoe.n in the cache, shoe.n retired
     assert c.phase == tm.ARC
     plur, shoe = c.verts[1], c.verts[0]
@@ -187,25 +186,80 @@ def test_arc_directions():
               "NOPOP", "WORDGEN", "TOKEN", "SUFFIX:n", "PUSHIDX:1"]:
         c = m.apply(c, a)
     assert c.cache == (0, 1)
-    right = m.apply(c, "ARC:0:right::ARG0")
+    right = m.apply(c, "ARC:0:right")
     assert right.edges == ((0, 1, ":ARG0"),)
-    left = m.apply(c, "ARC:0:left::ARG0")
+    left = m.apply(c, "ARC:0:left")
     assert left.edges == ((1, 0, ":ARG0"),)
+    # the labelled spelling of earlier action files is no action
+    for old in ("ARC:0:right::ARG0", "ARC:0:left::ARG0"):
+        assert not m.is_legal(c, old)
+        with pytest.raises(tm.IllegalAction):
+            m.apply(c, old)
 
 
 def test_arc_forest_guard():
-    m = tm.Machine(arc_labels=[":ARG0"], symgen_vocab=["x.pro"])
+    m = tm.Machine(symgen_vocab=["x.pro"])
     c = m.init(sent("a", "b"))
     for a in ["WORDGEN", "TOKEN", "SUFFIX:v", "PUSHIDX:0", "NOARC", "NOPROMOTE",
               "NOPOP", "WORDGEN", "TOKEN", "SUFFIX:n", "PUSHIDX:1",
-              "ARC:0:right::ARG0", "NOPROMOTE", "NOPOP",
+              "ARC:0:right", "NOPROMOTE", "NOPOP",
               "SYMGEN:x.pro", "PUSHIDX:0"]:
         c = m.apply(c, a)
     # cache is (new vertex 2, attached vertex 1): arcs into 1 are illegal,
     # only the arc giving 2 a parent remains
     assert c.cache == (2, 1)
     arcs = [a for a in m.legal_actions(c) if tm.action_kind(a) == "ARC"]
-    assert arcs == ["ARC:0:left::ARG0"]
+    assert arcs == ["ARC:0:left"]
+
+
+def test_arc_labels_follow_position():
+    # an arc takes its head's next label: :ARG0, :ARG1, ... in attachment
+    # order, and a COMPLEX head's first child is its :INSTANCE
+    m = tm.Machine()
+    head_then_two = ["PUSHIDX:0", "NOARC", "NOPROMOTE", "NOPOP",
+                     "WORDGEN", "TOKEN", "SUFFIX:v", "PUSHIDX:1", "ARC:0:right",
+                     "NOPROMOTE", "NOPOP",
+                     "WORDGEN", "TOKEN", "SUFFIX:n", "PUSHIDX:1", "ARC:0:right"]
+    c = m.replay(sent("a", "b"), ["SYMGEN:COMPLEX"] + head_then_two)
+    assert c.edges == ((0, 1, ":INSTANCE"), (0, 2, ":ARG0"))
+    c = m.replay(sent("a", "b"), ["SYMGEN:k"] + head_then_two)
+    assert c.edges == ((0, 1, ":ARG0"), (0, 2, ":ARG1"))
+    # a promoted vertex takes its one child as its first
+    c = m.replay(sent("a"), ["WORDGEN", "TOKEN", "SUFFIX:v", "PUSHIDX:1", "NOARC",
+                             "PROMOTE_SYM:COMPLEX", "PROMOTE_ARC"])
+    assert c.edges == ((1, 0, ":INSTANCE"),)
+
+
+def test_wordless_run_bound():
+    # SYMGEN and PROMOTE_SYM leave the offer once the run of vertices
+    # made without a word reaches the bound; SUFFIX and SKIP reset it
+    m = tm.Machine(max_wordless_run=2)
+    c = m.replay(sent("a", "b"), ["SYMGEN:k", "PUSHIDX:1", "NOARC"])
+    assert c.wordless_run == 1 and "PROMOTE_SYM:*" in m.legal_actions(c)
+    c = m.replay(sent("a", "b"), ["SYMGEN:k", "PUSHIDX:1", "NOARC",
+                                  "PROMOTE_SYM:pres", "PROMOTE_ARC", "NOARC"])
+    assert c.wordless_run == 2 and c.phase == tm.PROMOTE
+    assert m.legal_actions(c) == ["NOPROMOTE"]
+    for action in ("PROMOTE_SYM:pres", "PROMOTE_SYM:*"):
+        assert not m.is_legal(c, action)
+    with pytest.raises(tm.IllegalAction):
+        m.apply(c, "PROMOTE_SYM:pres")
+    assert "PROMOTE_SYM:*" in tm.Machine().legal_actions(c)  # unbounded
+    c = m.apply(m.apply(c, "NOPROMOTE"), "NOPOP")
+    assert m.legal_actions(c) == ["MERGEBUF", "SKIP", "WORDGEN"]
+    assert not m.is_legal(c, "SYMGEN:k")
+    skipped = m.apply(c, "SKIP")
+    assert skipped.wordless_run == 0 and m.is_legal(skipped, "SYMGEN:k")
+    read = m.replay(sent("a", "b"), ["SYMGEN:k", "PUSHIDX:1", "NOARC", "NOPROMOTE",
+                                     "NOPOP", "SYMGEN:k", "PUSHIDX:0", "NOARC",
+                                     "NOPROMOTE", "NOPOP", "WORDGEN", "TOKEN"])
+    assert read.wordless_run == 2
+    read = m.apply(read, "SUFFIX:n")
+    assert read.wordless_run == 0
+    assert tm.longest_wordless_run([["SYMGEN:k", "SKIP", "SYMGEN:k", "PROMOTE_SYM:k",
+                                     "SUFFIX:n", "PROMOTE_SYM:k"], []]) == 2
+    assert tm.Machine(max_wordless_run=0).legal_actions(m.init(sent("a"))) == \
+        ["SKIP", "WORDGEN"]
 
 
 def test_illegal_actions_raise():
@@ -241,11 +295,10 @@ def test_symbol_parameter_that_is_no_atom_is_illegal():
 
 
 def test_action_text_format():
-    line = tm.arc_action(0, "left", ":ARG0")
-    assert line == "ARC:0:left::ARG0"
-    assert tm.parse_arc_action(line) == (0, "left", ":ARG0")
-    text = tm.format_actions(["WORDGEN", "SUFFIX:", "PROMOTE_ARC::ARG0"])
-    assert text == "WORDGEN\nSUFFIX:\nPROMOTE_ARC::ARG0\n"
+    assert (tm.LEFT_ARC, tm.RIGHT_ARC, tm.PROMOTE_ARC) == \
+        ("ARC:0:left", "ARC:0:right", "PROMOTE_ARC")
+    text = tm.format_actions(["WORDGEN", "SUFFIX:", "PROMOTE_ARC"])
+    assert text == "WORDGEN\nSUFFIX:\nPROMOTE_ARC\n"
     recs = tm.parse_action_file("# id: s1\nWORDGEN\nSUFFIX:n\n# id: s2\nSKIP\n")
     assert recs == [("s1", ["WORDGEN", "SUFFIX:n"]), ("s2", ["SKIP"])]
 
@@ -294,8 +347,18 @@ def test_replay_determinism():
 
 # -- random walk invariants ---------------------------------------------------
 
+def labels_positional(frag):
+    """Whether each head's children carry consecutive positional labels:
+    :INSTANCE first under a COMPLEX head, then :ARG0, :ARG1, ...."""
+    for v, vert in enumerate(frag.vertices):
+        labels = [lab for _, lab in frag.children(v)]
+        first = [":INSTANCE"] if vert.symbol.render() == "COMPLEX" else []
+        if labels != (first + [":ARG%d" % k for k in range(len(labels))])[:len(labels)]:
+            return False
+    return True
+
+
 WALK_MACHINE = tm.Machine(
-    arc_labels=[":ARG0", ":ARG1", ":INSTANCE"],
     suffixes=["", "n", "v"],
     symgen_vocab=["k", "that.pro"],
     promote_syms=["pres", "plur"],
@@ -341,18 +404,17 @@ def _action_pool(m):
     """Every action of m's vocabularies in any phase, out-of-vocabulary
     stand-ins for open-vocabulary markers, and malformed variants."""
     fixed = ["WORDGEN", "NAME", "LEMMA", "TOKEN", "SKIP", "MERGEBUF",
-             "PUSHIDX:0", "PUSHIDX:1", "NOARC", "NOPROMOTE", "POP", "NOPOP"]
+             "PUSHIDX:0", "PUSHIDX:1", "ARC:0:left", "ARC:0:right", "NOARC",
+             "PROMOTE_ARC", "NOPROMOTE", "POP", "NOPOP"]
     menus = (["SYMGEN:" + s for s in m.symgen_vocab]
              + ["SUFFIX:" + e for e in m.suffixes]
-             + ["PROMOTE_SYM:" + s for s in m.promote_syms]
-             + ["PROMOTE_ARC:" + lab for lab in m.arc_labels]
-             + [tm.arc_action(0, d, lab) for d in ("left", "right")
-                for lab in m.arc_labels])
+             + ["PROMOTE_SYM:" + s for s in m.promote_syms])
+    # labelled arc actions are the spelling of earlier action files
     stand_ins = ["SYMGEN:zz.n", "SUFFIX:adv-a", "SUFFIX:", "PROMOTE_SYM:zz",
-                 "PROMOTE_ARC::OTHER", "ARC:0:left::OTHER", "ARC:0:right::OTHER",
+                 "PROMOTE_ARC::ARG0", "ARC:0:left::ARG0", "ARC:0:right::ARG1",
                  "ARC:0:left:", "SYMGEN:"]
-    malformed = ["", "SYMGEN", "SUFFIX", "PROMOTE_SYM", "PROMOTE_ARC", "ARC",
-                 "ARC:0", "ARC:0:left", "ARC:1:left::ARG0", "ARC:0:up::ARG0",
+    malformed = ["", "SYMGEN", "SUFFIX", "PROMOTE_SYM", "ARC",
+                 "ARC:0", "ARC:1:left", "ARC:0:up", "ARC:1:left::ARG0", "ARC:0:up::ARG0",
                  "ARC:x:right::ARG1", "POP:x", "NOPOP:", "NOARC:x", "PUSHIDX",
                  "PUSHIDX:2", "PUSHIDX:", "WORDGEN:x", "NAME:x", "SKIP:0",
                  "MERGEBUF:x", "NOPROMOTE:x", "GEN", "arc:0:left::ARG0"]
@@ -388,12 +450,20 @@ def test_random_walk_preserves_invariants(choices):
     m = WALK_MACHINE
     s = sent("New", "York", "is", "big")
     c = m.init(s)
+    run = 0
     for pick in choices:
         legal = [a for a in m.legal_actions(c) if not a.endswith(":*")]
         if not legal or c.steps > 100:
             break
         c = m.apply(c, legal[pick % len(legal)])
         _check_invariants(c)
+        # the word-less run counts the word-less vertices since the last
+        # SUFFIX or SKIP
+        kind = tm.action_kind(c.last_action)
+        run = 0 if kind in ("SUFFIX", "SKIP") else \
+            run + (kind in ("SYMGEN", "PROMOTE_SYM"))
+        assert c.wordless_run == run
+        assert all(map(labels_positional, m.extract_result(c)))
         # is_legal and legal_actions agree, closed vocabularies and open
         for mach in (m, OPEN_MACHINE):
             menu = mach.legal_actions(c)
@@ -428,13 +498,16 @@ walk_sentences = st.lists(st.sampled_from(WALK_WORDS), min_size=1, max_size=5).m
     lambda words: sent(*[s for s, _ in words], lemmas=[lem for _, lem in words]))
 
 
-# closed vocabularies (labels with a leading colon, an empty suffix), open
-# ones, and closed but empty ones, in which no parameterized action is legal
+# closed vocabularies (an empty suffix among them), open ones, closed but
+# empty ones, in which no parameterized action is legal, and bounded
+# word-less runs
 LEGALITY_MACHINES = (WALK_MACHINE, OPEN_MACHINE,
-                     tm.Machine(arc_labels=[], suffixes=[], symgen_vocab=[],
-                                promote_syms=[]))
+                     tm.Machine(suffixes=[], symgen_vocab=[], promote_syms=[]),
+                     tm.Machine(suffixes=["n"], symgen_vocab=["k", "COMPLEX"],
+                                promote_syms=["pres", "COMPLEX"], max_wordless_run=2),
+                     tm.Machine(max_wordless_run=0))
 # what a walk puts in place of an open vocabulary's "*" marker
-OPEN_PARAMS = (":ARG0", "", "that.pro", "n", "*")
+OPEN_PARAMS = ("", "that.pro", "n", "*")
 LEGALITY_POOL = WALK_POOL + ["SYMGEN:*", "SUFFIX:*", "PROMOTE_SYM:*",
                              "PROMOTE_ARC:*", "PROMOTE_ARC:", "ARC:0:left:*",
                              "ARC:0:right:*", "ARC:0:right:", "PROMOTE_SYM:",
@@ -467,7 +540,7 @@ def test_legality_table_equals_reference(m, sentence, picks):
 
 # closed vocabularies with entries that spell no atom, beside the others
 APPLY_MACHINES = LEGALITY_MACHINES + (
-    tm.Machine(arc_labels=[":ARG0"], suffixes=["n"], symgen_vocab=["", "k", "|x"],
+    tm.Machine(suffixes=["n"], symgen_vocab=["", "k", "|x"],
                promote_syms=["pres", "|a", "|b|c"]),)
 APPLY_POOL = LEGALITY_POOL + ["SYMGEN:", "SYMGEN:|x", "SYMGEN:|x|", "SYMGEN:|x|.n",
                               "SYMGEN:|x|y", "SYMGEN:k", "SYMGEN:.", "SYMGEN:a.",
