@@ -195,13 +195,25 @@ def split_round_robin(records, chunk=10, pattern=SPLIT_PATTERN):
 def _read_graph_file(path, fmt):
     """Read one graph per record: consecutive s-expressions (per line or
     blank-separated, possibly multi-line) for ULF, blank-separated blocks
-    for penman.  Lines starting with '#' are comments."""
+    for penman.  Lines starting with '#' are comments.  A ULF file whose
+    first non-blank line loads as a JSON object (a corpus) is refused."""
     with open(path) as fh:
-        text = "\n".join(ln for ln in fh.read().splitlines()
-                         if not ln.startswith("#"))
+        lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+    text = "\n".join(lines)
     if fmt == "penman":
         blocks = [b.strip() for b in text.split("\n\n") if b.strip()]
         return [parse_penman(b) for b in blocks]
+    # a corpus line would read as many ULF graphs, but `{you}.pro` is ULF
+    # too: a first line starting with '{' is refused only if it loads
+    first = next((ln.strip() for ln in lines if ln.strip()), "")
+    if first.startswith("{"):
+        try:
+            json.loads(first)
+        except ValueError:
+            pass
+        else:
+            raise CorpusError("%s starts with a JSON object (a corpus "
+                              "file?), not a ULF graph" % path)
     from .core import parse_sexpr_stream
 
     return [tree_to_graph(t) for t in parse_sexpr_stream(text)]

@@ -93,11 +93,13 @@ def best_mapping(cand: TripleSet, gold: TripleSet, restarts=4, seed=0):
     # node_w[i, j]: triples matched by i -> j alone (its instance triple
     # and self-loops); column gn stands for "unmapped"
     node_w = np.zeros((cn, gn + 1), dtype=np.int64)
+    gold_of_label: dict = {}
+    for j, (_, gl) in enumerate(gold.instances):
+        gold_of_label.setdefault(gl, []).append(j)
     for i, (_, cl) in enumerate(cand.instances):
-        for j, (_, gl) in enumerate(gold.instances):
-            if gl == cl:
-                pool_sets[i].add(j)
-                node_w[i, j] = 1
+        for j in gold_of_label.get(cl, ()):
+            pool_sets[i].add(j)
+            node_w[i, j] = 1
 
     # pair_w[(i, j)][(x, y)]: relation triples between variables i != x,
     # in either direction, matched when i -> j and x -> y
@@ -105,8 +107,12 @@ def best_mapping(cand: TripleSet, gold: TripleSet, restarts=4, seed=0):
     gold_rels: dict = {}
     for lab, gv1, gv2 in gold.relations:
         gold_rels.setdefault(lab, []).append((gvars[gv1], gvars[gv2]))
+    # related variable pairs (i < k): those that pair_w links
+    related = set()
     for lab, cv1, cv2 in cand.relations:
         i1, i2 = cvars[cv1], cvars[cv2]
+        if i1 != i2 and lab in gold_rels:
+            related.add((min(i1, i2), max(i1, i2)))
         for j1, j2 in gold_rels.get(lab, []):
             pool_sets[i1].add(j1)
             pool_sets[i2].add(j2)
@@ -118,23 +124,24 @@ def best_mapping(cand: TripleSet, gold: TripleSet, restarts=4, seed=0):
                 row = pair_w.setdefault(end, {})
                 row[other] = row.get(other, 0) + 1
     pools = [sorted(s) for s in pool_sets]
-    # related variable pairs (i < k) and, per variable, the pairs it is in
-    related = sorted({(min(i, x), max(i, x))
-                      for (i, _), row in pair_w.items() for x, _ in row})
+    related = sorted(related)
     rel_i = np.array([i for i, _ in related], dtype=np.intp)
     rel_k = np.array([k for _, k in related], dtype=np.intp)
+    # per variable, the related pairs it is in
     pairs_of = [[] for _ in range(cn)]
     for p, (i, k) in enumerate(related):
         pairs_of[i].append(p)
         pairs_of[k].append(p)
 
-    def assign(contrib, mapping, i, j):
+    def assign(contrib, mapping, col, i, j):
         """Move i from its node to j (-1: unmapped), updating `contrib` of
-        the variables that share a relation triple with i."""
+        the variables that share a relation triple with i, and `col`, the
+        mapping with gn for unmapped."""
         for node, sign in ((mapping[i], -1), (j, 1)):
             for (x, y), w in pair_w.get((i, node), {}).items():
                 contrib[x, y] += sign * w
         mapping[i] = j
+        col[i] = j if j >= 0 else gn
 
     def swap_fix(mapping, p):
         """What swapping related pair p adds to its two set-move gains:
@@ -146,11 +153,14 @@ def best_mapping(cand: TripleSet, gold: TripleSet, restarts=4, seed=0):
         return (at_b.get((k, a), 0) + at_a.get((k, b), 0)
                 - at_a.get((k, a), 0) - at_b.get((k, b), 0))
 
+    rows = np.arange(cn)
+    above = np.triu(np.ones((cn, cn), dtype=np.int64), 1)
     rng = np.random.default_rng(seed)
     best_num, best_map = -1, [-1] * cn
     for restart in range(max(1, restarts + 1)):
         contrib = node_w.copy()
         mapping = [-1] * cn
+        col = np.full(cn, gn, dtype=np.intp)
         num = 0
         used = set()
         order = list(range(cn))
@@ -160,37 +170,37 @@ def best_mapping(cand: TripleSet, gold: TripleSet, restarts=4, seed=0):
             choices = [j for j in pools[i] if j not in used]
             if not choices:
                 continue
-            j = choices[0] if restart == 0 else int(rng.choice(choices))
+            # the draw `rng.choice(choices)` makes, without its overhead
+            j = choices[0] if restart == 0 else \
+                choices[int(rng.integers(len(choices)))]
             used.add(j)
             num += int(contrib[i, j])
-            assign(contrib, mapping, i, j)
+            assign(contrib, mapping, col, i, j)
         fix = np.array([swap_fix(mapping, p) for p in range(len(related))],
                        dtype=np.int64)
         while True:
-            col = np.array(mapping)
-            col[col < 0] = gn
-            gain = contrib - contrib[np.arange(cn), col][:, None]
+            gain = contrib - contrib[rows, col][:, None]
             # swaps[i, k], i < k: gain[i, col[k]] is i taking k's value;
             # two unmapped variables gain 0
             swaps = gain[:, col]
-            swaps = np.triu(swaps + swaps.T, 1)
+            swaps = (swaps + swaps.T) * above
             swaps[rel_i, rel_k] += fix
             # taken nodes are no set moves; unmapping (column gn) never
             # gains, so it is left out
+            gain[:, col] = 0
             sets = gain[:, :gn]
-            sets[:, col[col < gn]] = 0
             s, w = int(sets.argmax()), int(swaps.argmax())
             set_gain, swap_gain = int(sets.flat[s]), int(swaps.flat[w])
             if swap_gain > max(set_gain, 0):
                 i, k = divmod(w, cn)
                 a, b = mapping[i], mapping[k]
-                assign(contrib, mapping, i, b)
-                assign(contrib, mapping, k, a)
+                assign(contrib, mapping, col, i, b)
+                assign(contrib, mapping, col, k, a)
                 num += swap_gain
                 moved = pairs_of[i] + pairs_of[k]
             elif set_gain > 0:
                 i, j = divmod(s, gn)
-                assign(contrib, mapping, i, j)
+                assign(contrib, mapping, col, i, j)
                 num += set_gain
                 moved = pairs_of[i]
             else:

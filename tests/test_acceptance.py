@@ -274,13 +274,21 @@ def test_criterion_8_perceptron_beats_random_baseline(mini, trained):
                              beam_size=3, dep=rec.deps, cap=200)
         pairs_model.append((rm.fragments, rec.gold_graph))
         pairs_rand.append((rr.fragments, rec.gold_graph))
-    sb_model = metrics.corpus_eval(pairs_model, seed=0).aggregate["sembleu"]
-    sb_rand = metrics.corpus_eval(pairs_rand, seed=0).aggregate["sembleu"]
+    agg_model = metrics.corpus_eval(pairs_model, seed=0).aggregate
+    agg_rand = metrics.corpus_eval(pairs_rand, seed=0).aggregate
+    sb_model, sb_rand = agg_model["sembleu"], agg_rand["sembleu"]
     margin = sb_model - sb_rand
     assert margin >= 0.10, "margin %.4f below the 10-point floor" % margin
+    # the random baseline's SemBLEU is 0 (no trigram matches), so the
+    # SemBLEU margin alone only asks the model to reach 0.10
+    f1_model, f1_rand = agg_model["elsmatch_f1"], agg_rand["elsmatch_f1"]
+    f1_margin = f1_model - f1_rand
+    assert f1_margin >= 0.10, "EL-Smatch margin %.4f below the 10-point floor" % f1_margin
     print("\nACCEPTANCE 8 PASS: dev SemBLEU %.4f vs random %.4f "
-          "(margin %.1f points; absolute scores of the original neural "
-          "system are out of scope)" % (sb_model, sb_rand, 100 * margin))
+          "(margin %.1f points), EL-Smatch F1 %.4f vs random %.4f (margin "
+          "%.1f points); absolute scores of the original neural system are "
+          "out of scope" % (sb_model, sb_rand, 100 * margin,
+                            f1_model, f1_rand, 100 * f1_margin))
 
 
 def test_criterion_9_deterministic_reports(tmp_path):

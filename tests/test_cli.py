@@ -384,6 +384,20 @@ def test_eval_length_mismatch(tmp_path, tiny_file, capsys):
     assert run(["eval", "both", str(short), str(golds)]) == 1
 
 
+def test_eval_refuses_a_corpus_as_gold(tmp_path, tiny_file, capsys):
+    parsed = tmp_path / "p.txt"
+    assert run(["parse", tiny_file, "--scorer", "oracle", "-o", str(parsed)]) == 0
+    capsys.readouterr()
+    assert run(["eval", "both", str(parsed), tiny_file]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: %s starts with a JSON object (a corpus file?), "
+                   "not a ULF graph" % tiny_file]
+    # a ULF line may start with '{' too: {you}.pro is an atom
+    golds = tmp_path / "golds.ulf"
+    golds.write_text("# gold\n\n{you}.pro\n")
+    assert len(cli._read_graph_file(str(golds), "ulf")) == 1
+
+
 def test_split_command(tmp_path, mini_file):
     prefix = str(tmp_path / "split")
     assert run(["split", mini_file, prefix]) == 0

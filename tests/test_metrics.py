@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulfparse.core import parse_penman, parse_sexpr, tree_to_graph
 from ulfparse.metrics import (
@@ -287,6 +288,53 @@ def test_hillclimb_equals_full_recount_reference():
         got = best_mapping(cand_t, gold_t, restarts, seed)
         want = _reference_best_mapping(cand_t, gold_t, restarts, seed)
         assert got == want, "pair %d: %r != reference %r" % (t, got, want)
+
+
+@st.composite
+def _random_pair(draw):
+    """Two random sides: 0-14 vertices each in 1-3 fragments, the
+    duplicate-heavy `_LABELS` and 2-3 roles, trees plus up to two extra
+    edges per fragment."""
+    from ulfparse.core import Atom, UlfGraph, Vertex
+
+    roles = st.sampled_from([":ARG0", ":ARG1", ":INSTANCE"][: draw(st.integers(2, 3))])
+
+    def side():
+        n = draw(st.integers(0, 14))
+        sizes = np.array_split(np.arange(n), draw(st.integers(1, 3))) if n else []
+        frags = []
+        for size in (len(s) for s in sizes if len(s)):
+            verts = [Vertex(Atom(draw(st.sampled_from(_LABELS)), "operator"))
+                     for _ in range(size)]
+            edges = [(draw(st.integers(0, v - 1)), v, draw(roles))
+                     for v in range(1, size)]
+            ends = st.integers(0, size - 1)
+            edges += draw(st.lists(st.tuples(ends, ends, roles), max_size=2))
+            frags.append(UlfGraph(verts, edges, 0))
+        return frags
+
+    return TripleSet.from_graph(side(), "a"), TripleSet.from_graph(side(), "b")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_pair(), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_hillclimb_equals_full_recount_reference_on_any_pair(pair, restarts, seed):
+    cand_t, gold_t = pair
+    assert (best_mapping(cand_t, gold_t, restarts, seed)
+            == _reference_best_mapping(cand_t, gold_t, restarts, seed))
+
+
+def test_integers_draw_is_the_choice_draw():
+    # best_mapping draws a restart's node as choices[rng.integers(len)],
+    # the reference as rng.choice(choices): the same value and the same
+    # generator state, with permutations interleaved as in a restart
+    a, b = np.random.default_rng(2013), np.random.default_rng(2013)
+    for size in range(1, 71):
+        choices = list(range(3, 3 + 2 * size, 2))
+        assert a.permutation(size).tolist() == b.permutation(size).tolist()
+        for _ in range(4):
+            assert choices[int(a.integers(len(choices)))] == int(b.choice(choices))
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_options_out_of_range_are_rejected():
